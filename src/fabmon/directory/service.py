@@ -12,17 +12,20 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from fabmon.core import Clock, MetricSample, ResourcePath
 from fabmon.directory.registry import InvalidTTL, Registry
-from fabmon.wire.client import ConnectionLost, LatestResult, UpstreamError, WireClient
-from fabmon.wire.session import RequestError, WireHandler, WireServer
+from fabmon.wire.client import LatestResult, ReplyTimeout, UpstreamError, WireClient
+from fabmon.wire.session import ProtocolViolation, RequestError, WireHandler, WireServer
 
 log = logging.getLogger(__name__)
 
 MAX_HOPS = 8
 FRESHNESS_CAP_S = 300
+UPSTREAM_TIMEOUT_S = 5.0  # wait for an upstream's reply before giving up on it
+
+T = TypeVar("T")
 
 
 class UpstreamUnreachable(RuntimeError):
@@ -69,7 +72,7 @@ class DirectoryService(WireHandler):
         self._cache_lock = threading.Lock()
         self._inflight: dict[tuple[str, str], threading.Event] = {}
         self._local = threading.local()  # keys this thread is already fetching
-        self.upstream_fetches = 0
+        self._idle: dict[str, list[WireClient]] = {}  # endpoint -> idle upstream sessions
 
     # -- cache -------------------------------------------------------------
 
@@ -90,51 +93,78 @@ class DirectoryService(WireHandler):
         with self._cache_lock:
             self._cache[key] = cell
 
-    # -- upstream fetches ----------------------------------------------------
+    # -- upstream sessions ----------------------------------------------------
 
-    def _fetch_latest(self, endpoint: str, path: ResourcePath, metric: str, hops: int) -> LatestResult:
-        self.upstream_fetches += 1
+    def _dial(self, endpoint: str) -> WireClient:
         try:
             channel = self.dial(endpoint)
         except (ConnectionError, OSError, TimeoutError) as exc:
             raise UpstreamUnreachable(f"dial {endpoint}: {exc}") from exc
         try:
-            client = WireClient(channel, role="consumer", name=self.server.name)
-            return client.query_latest(path, metric, hops=hops)
-        except UpstreamError as exc:
-            if exc.code == "hop_limit":
-                raise HopLimitExceeded(exc.message) from exc
+            return WireClient(channel, role="consumer", name=self.server.name,
+                              timeout=UPSTREAM_TIMEOUT_S)
+        except (UpstreamError, ConnectionError, OSError, TimeoutError, ProtocolViolation) as exc:
+            channel.close()
             raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-        except (ConnectionLost, ConnectionError, OSError, TimeoutError) as exc:
-            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-        finally:
-            try:
-                channel.close()
-            except Exception:
-                pass
 
-    def _fetch_range(self, endpoint, path, metric, t0, t1, hops) -> list[MetricSample]:
-        self.upstream_fetches += 1
-        try:
-            channel = self.dial(endpoint)
-        except (ConnectionError, OSError, TimeoutError) as exc:
-            raise UpstreamUnreachable(f"dial {endpoint}: {exc}") from exc
-        try:
-            client = WireClient(channel, role="consumer", name=self.server.name)
-            return client.query_range(path, metric, t0, t1, hops=hops)
-        except UpstreamError as exc:
-            if exc.code == "hop_limit":
-                raise HopLimitExceeded(exc.message) from exc
-            if exc.code == "invalid_range":
-                raise ValueError(exc.message) from exc
-            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-        except (ConnectionLost, ConnectionError, OSError, TimeoutError) as exc:
-            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-        finally:
+    def _checkin(self, endpoint: str, client: WireClient) -> None:
+        with self._cache_lock:
+            self._idle.setdefault(endpoint, []).append(client)
+
+    def _close_idle(self, keep: Callable[[str], bool]) -> None:
+        """Close the idle sessions of every endpoint keep() rejects."""
+        with self._cache_lock:
+            dropped = [e for e in self._idle if not keep(e)]
+            clients = [c for e in dropped for c in self._idle.pop(e)]
+        for client in clients:
+            client.close()
+
+    def _fetch(self, endpoint: str, call: Callable[[WireClient], T]) -> T:
+        """Run call on an idle session to endpoint, or on a new one.
+
+        Sessions are checked out, never shared: WireClient serializes its
+        requests, and a federation cycle re-enters here on the same thread.
+        So an endpoint never has more sessions than it once had fetches in
+        flight. A session is returned after any reply, ERROR included. One
+        that fails is closed, since a late reply would put its correlation
+        ids out of step, and so are the endpoint's idle ones. Only when a
+        reused session ended (EOF, reset, failed send) has the upstream
+        likely restarted, and the call is tried once more on a fresh dial;
+        a timeout means a hung upstream, which a redial would wait on again.
+        """
+        with self._cache_lock:
+            idle = self._idle.get(endpoint)
+            client = idle.pop() if idle else None
+        while True:
+            reused = client is not None
+            if not reused:
+                client = self._dial(endpoint)
             try:
-                channel.close()
-            except Exception:
-                pass
+                result = call(client)
+            except UpstreamError as exc:
+                self._checkin(endpoint, client)
+                if exc.code == "hop_limit":
+                    raise HopLimitExceeded(exc.message) from exc
+                if exc.code == "invalid_range":
+                    raise ValueError(exc.message) from exc
+                raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
+            except (ConnectionError, OSError, ProtocolViolation) as exc:
+                client.close()
+                self._close_idle(lambda e: e != endpoint)
+                restarted = not isinstance(exc, (ReplyTimeout, TimeoutError, ProtocolViolation))
+                if reused and restarted:
+                    client = None
+                    continue
+                raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
+            except BaseException:  # e.g. an undecodable reply: the session's state is unknown
+                client.close()
+                raise
+            self._checkin(endpoint, client)
+            return result
+
+    def close(self) -> None:
+        """Close every idle upstream session."""
+        self._close_idle(lambda e: False)
 
     # -- queries -------------------------------------------------------------
 
@@ -180,7 +210,8 @@ class DirectoryService(WireHandler):
                 return LatestResult(None)
             next_hops = hops + 1 if entry.provider_kind == "directory" else hops
             try:
-                result = self._fetch_latest(entry.endpoint, path, metric, next_hops)
+                result = self._fetch(
+                    entry.endpoint, lambda c: c.query_latest(path, metric, hops=next_hops))
             except UpstreamUnreachable:
                 if cell is not None:
                     log.warning("serving stale %s/%s: upstream %s unreachable",
@@ -212,7 +243,8 @@ class DirectoryService(WireHandler):
         if entry is None:
             raise NoProvider(f"no archive covers {path}")
         next_hops = hops + 1 if entry.provider_kind == "directory" else hops
-        return self._fetch_range(entry.endpoint, path, metric, t0, t1, next_hops)
+        return self._fetch(
+            entry.endpoint, lambda c: c.query_range(path, metric, t0, t1, hops=next_hops))
 
     def trigger_probe(self, path: ResourcePath, metric: str) -> MetricSample:
         """Ask the owning agent directly, bypassing the archive; refills cache."""
@@ -220,14 +252,19 @@ class DirectoryService(WireHandler):
         entry = self.registry.resolve(path, ("agent",), now)
         if entry is None:
             raise NoProvider(f"no agent registration covers {path}")
-        result = self._fetch_latest(entry.endpoint, path, metric, 0)
+        result = self._fetch(entry.endpoint, lambda c: c.query_latest(path, metric))
         if result.sample is None:
             raise UpstreamUnreachable(f"agent {entry.endpoint} has no sample for {path}/{metric}")
         self._cache_put((str(path), metric), result.sample, self.clock.now())
         return result.sample
 
     def sweep(self) -> int:
-        return len(self.registry.sweep(self.clock.now()))
+        """Expire registrations; close idle sessions no live one points at."""
+        now = self.clock.now()
+        removed = self.registry.sweep(now)
+        live = {e.endpoint for e in self.registry.live_entries(now)}
+        self._close_idle(live.__contains__)
+        return len(removed)
 
     def registry_dump(self) -> list[dict]:
         now = self.clock.now()

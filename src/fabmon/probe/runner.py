@@ -155,7 +155,6 @@ class ProbeRunner:
         self.dial = dial
         self.prober = prober or TcpProber()
         self.driver = driver or ThreadDriver(config.fanout)
-        self.cycles_completed = 0
 
     # -- directory access ---------------------------------------------------
 
@@ -277,10 +276,8 @@ class ProbeRunner:
                         transcript=[f"{spec.name}: skipped, host unreachable"],
                         started_at=now, duration_ms=0, skipped=True))
                     continue
-                wall0 = time.perf_counter()
                 step = self._run_step(spec, host, client, now)
-                measured = int((time.perf_counter() - wall0) * 1000)
-                step.duration_ms = max(step.duration_ms, measured)
+                step.duration_ms = max(step.duration_ms, self.clock.now() - now)
                 steps.append(step)
                 if spec.kind == "tcp_connect" and step.status is Status.UNREACHABLE:
                     unreachable = True

@@ -39,7 +39,7 @@ from fabmon.probe.runner import (
     StepSpec,
 )
 from fabmon.probe.snapshot import verify_rollups
-from fabmon.wire.channel import connect_memory
+from fabmon.wire.channel import MemoryChannel, connect_memory
 from fabmon.wire.client import WireClient
 from fabmon.wire.codec import encode_sample
 from fabmon.wire.session import WireServer
@@ -161,9 +161,29 @@ class SimNetwork:
         if server is None:
             raise ConnectionRefusedError(f"no listener at {endpoint}")
         host = self._host_of.get(endpoint, "")
-        if host and self.host_down(host, self.clock.now() - SIM_EPOCH_MS):
+        if not host:
+            return connect_memory(server)
+        if self.host_down(host, self.clock.now() - SIM_EPOCH_MS):
             raise ConnectionRefusedError(f"{endpoint} is down")
-        return connect_memory(server)
+        return _HostChannel(server, self, host)
+
+
+class _HostChannel(MemoryChannel):
+    """Memory channel to a simulated host; sends fail while the host is down.
+
+    A session held across a host_down window then fails the way a held TCP
+    session to a dead peer does, instead of answering from the down host.
+    """
+
+    def __init__(self, server: WireServer, network: SimNetwork, host: str):
+        super().__init__(server)
+        self._network = network
+        self._host = host
+
+    def send(self, line: bytes) -> None:
+        if self._network.host_down(self._host, self._network.clock.now() - SIM_EPOCH_MS):
+            raise ConnectionResetError(f"{self._host} is down")
+        super().send(line)
 
 
 class SimProber:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
 import threading
 import time
@@ -37,6 +38,11 @@ def _load(args) -> dict:
     return cfgmod.load_config(args.config) if args.config else {}
 
 
+def _stop_on_sigterm() -> None:
+    """Make SIGTERM raise KeyboardInterrupt, so daemons clean up as on SIGINT."""
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+
+
 def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threading.Event):
     """Keep registrations alive; retry quickly while the directory is down."""
     while not stop.is_set():
@@ -54,6 +60,7 @@ def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threa
 
 
 def cmd_agent_run(args) -> int:
+    _stop_on_sigterm()
     cfg = _load(args)
     agent_cfg = cfgmod.agent_config(cfg)
     clock = SystemClock()
@@ -72,6 +79,7 @@ def cmd_agent_run(args) -> int:
 
 
 def cmd_importer_run(args) -> int:
+    _stop_on_sigterm()
     cfg = _load(args)
     sect = cfg.get("importer", {})
     eps = cfgmod.endpoints(cfg)
@@ -117,6 +125,7 @@ def cmd_importer_run(args) -> int:
 
 
 def cmd_directory_run(args) -> int:
+    _stop_on_sigterm()
     cfg = _load(args)
     sect = cfg.get("directory", {})
     eps = cfgmod.endpoints(cfg)
@@ -144,10 +153,12 @@ def cmd_directory_run(args) -> int:
     finally:
         admin.stop()
         server.stop()
+        service.close()
     return 0
 
 
 def cmd_probe_run(args) -> int:
+    _stop_on_sigterm()
     cfg = _load(args)
     sect = cfg.get("probe", {})
     probe_cfg = cfgmod.probe_config(cfg)
@@ -177,6 +188,7 @@ def cmd_probe_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    _stop_on_sigterm()
     cfg = _load(args)
     sect = cfg.get("surface", {})
     eps = cfgmod.endpoints(cfg)

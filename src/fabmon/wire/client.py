@@ -17,6 +17,10 @@ class ConnectionLost(ConnectionError):
     """Transport died or the server closed the session."""
 
 
+class ReplyTimeout(ConnectionLost):
+    """No reply within the timeout; the peer may be hung, not gone."""
+
+
 class UpstreamError(Exception):
     """ERROR reply from the server, keyed by its code."""
 
@@ -70,7 +74,7 @@ class WireClient:
                 try:
                     line = self._channel.recv(self.timeout)
                 except TimeoutError as exc:
-                    raise ConnectionLost(f"no reply to {kind}: {exc}") from None
+                    raise ReplyTimeout(f"no reply to {kind}: {exc}") from None
                 if line is None:
                     raise ConnectionLost(f"session closed awaiting reply to {kind}")
                 decoded = codec.decode_wire_line(line)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from conftest import EPOCH_MS, make_sample
 from fabmon.core import ResourcePath
 from fabmon.archive import Importer, MemoryStore
+import fabmon.directory.service as service_mod
 from fabmon.directory import (
     DirectoryService,
     HopLimitExceeded,
@@ -16,39 +20,87 @@ from fabmon.directory import (
     Registry,
     UpstreamUnreachable,
 )
-from fabmon.wire import UpstreamError, WireClient, WireServer, connect_memory
+from fabmon.wire import MemoryChannel, UpstreamError, WireClient, WireServer
 from fabmon.wire.session import WireHandler
 
 P = ResourcePath.parse
 
 
 class _Net:
-    """Tiny endpoint registry standing in for a real network."""
+    """Tiny endpoint registry standing in for a real network.
+
+    A down endpoint refuses dials, and sends on channels already open to it
+    fail, as they would on a TCP session to a dead peer. A silent endpoint
+    is a hung or powered-off host: sends vanish unanswered, and a dial
+    waits connect_wait_s before it times out.
+    """
 
     def __init__(self):
         self.servers = {}
         self.down = set()
+        self.silent = set()
+        self.connect_wait_s = 0.0
         self.dial_counts = {}
+        self._count_lock = threading.Lock()
 
     def add(self, endpoint, server):
         self.servers[endpoint] = server
 
+    def restart(self, endpoint, server):
+        """Replace the server at endpoint, ending every session to the old one."""
+        old = self.servers[endpoint]
+        for conn in old.connections():
+            old.detach(conn)
+        self.servers[endpoint] = server
+
     def dial(self, endpoint, timeout=None):
-        self.dial_counts[endpoint] = self.dial_counts.get(endpoint, 0) + 1
+        with self._count_lock:  # dials may race from handler threads
+            self.dial_counts[endpoint] = self.dial_counts.get(endpoint, 0) + 1
         if endpoint in self.down or endpoint not in self.servers:
             raise ConnectionRefusedError(f"{endpoint} down")
-        return connect_memory(self.servers[endpoint])
+        if endpoint in self.silent:
+            time.sleep(self.connect_wait_s)
+            raise TimeoutError(f"connect to {endpoint} timed out")
+        return _NetChannel(self, endpoint)
+
+
+class _NetChannel(MemoryChannel):
+    def __init__(self, net, endpoint):
+        super().__init__(net.servers[endpoint])
+        self._net = net
+        self._endpoint = endpoint
+
+    def send(self, line):
+        if self._endpoint in self._net.down:
+            raise ConnectionResetError(f"{self._endpoint} down")
+        if self._endpoint not in self._net.silent:
+            super().send(line)
 
 
 class _AgentStub(WireHandler):
     def __init__(self, path, sample=None):
         self.path = path
         self.sample = sample
+        self.queries = 0  # latest queries that reached this agent
 
     def on_query_latest(self, path, metric, hops):
+        self.queries += 1
         if path == self.path and self.sample is not None and self.sample.metric == metric:
             return (self.sample, False, "agent")
         return (None, False, "agent")
+
+
+def _count_calls(handler, method):
+    """Record the calls that reach handler.method; returns the record."""
+    calls = []
+    serve = getattr(handler, method)
+
+    def counted(*args):
+        calls.append(args)
+        return serve(*args)
+
+    setattr(handler, method, counted)
+    return calls
 
 
 def _stack(clock):
@@ -140,10 +192,9 @@ class TestQueryLatest:
 
         first = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert (first.sample, first.source, first.stale) == (sample, "upstream", False)
-        dials = net.dial_counts["agent:1"]
         second = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert second.source == "cache" and second.sample == sample
-        assert net.dial_counts["agent:1"] == dials  # cache hit, upstream untouched
+        assert agent.queries == 1  # cache hit, upstream untouched
 
     def test_cache_expiry_refetches(self, clock):
         net, service = _stack(clock)
@@ -220,6 +271,125 @@ class TestQueryLatest:
         assert sum(calls) == 1  # one upstream request served all four
 
 
+class TestUpstreamSessions:
+    def _agent(self, clock, net, service, ttl=600):
+        agent = _AgentStub(P("bnl/farm/n1"), make_sample(ts=clock.now(), ttl=30))
+        net.add("agent:1", WireServer(agent, clock))
+        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", ttl, clock.now())
+        return agent
+
+    def test_one_dial_serves_many_fetches(self, clock):
+        net, service = _stack(clock)
+        agent = self._agent(clock, net, service)
+        for _ in range(5):
+            assert service.query_latest(P("bnl/farm/n1"), "cpu.load1").source == "upstream"
+            clock.advance(31_000)  # past freshness: the next query goes upstream
+        assert agent.queries == 5
+        assert net.dial_counts["agent:1"] == 1
+
+    def test_restarted_upstream_is_redialed_once(self, clock):
+        net, service = _stack(clock)
+        self._agent(clock, net, service)
+        service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        clock.advance(31_000)
+        fresh = make_sample(ts=clock.now(), value=0.9, ttl=30)
+        net.restart("agent:1", WireServer(_AgentStub(P("bnl/farm/n1"), fresh), clock))
+        got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        assert (got.sample, got.source, got.stale) == (fresh, "upstream", False)
+        assert net.dial_counts["agent:1"] == 2
+
+    def test_error_reply_keeps_the_session(self, clock):
+        net, service = _stack(clock)
+        net.add("agent:1", WireServer(WireHandler(), clock))  # answers ERROR unsupported
+        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
+        for _ in range(3):
+            with pytest.raises(UpstreamUnreachable):
+                service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        assert net.dial_counts["agent:1"] == 1
+
+    def test_sweep_closes_sessions_of_expired_endpoints(self, clock):
+        net, service = _stack(clock)
+        self._agent(clock, net, service, ttl=60)
+        importer = Importer(MemoryStore(), clock)
+        net.add("arch:1", importer.server)
+        service.registry.register(P("bnl"), "archive", "arch:1", 600, clock.now())
+        service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        service.query_history(P("bnl/farm/n1"), "cpu.load1", 1, 2**60)
+        assert len(net.servers["agent:1"].connections()) == 1
+        clock.advance(61_000)
+        assert service.sweep() == 1
+        assert net.servers["agent:1"].connections() == []
+        assert len(importer.server.connections()) == 1  # still registered, still held
+        service.close()
+        assert importer.server.connections() == []
+
+    def test_hung_upstream_serves_stale_within_one_timeout(self, clock, monkeypatch):
+        timeout_s = 0.5
+        monkeypatch.setattr(service_mod, "UPSTREAM_TIMEOUT_S", timeout_s)
+        net, service = _stack(clock)
+        agent = self._agent(clock, net, service)
+        first = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        clock.advance(31_000)
+        net.silent.add("agent:1")
+        net.connect_wait_s = timeout_s
+        started = time.monotonic()
+        got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        elapsed = time.monotonic() - started
+        assert (got.sample, got.stale) == (first.sample, True)
+        # a timeout is no sign of a restart: no redial that would wait again
+        assert net.dial_counts["agent:1"] == 1
+        assert elapsed < 1.8 * timeout_s
+        assert net.servers["agent:1"].connections() == []  # the timed-out session is closed
+        net.silent.clear()
+        clock.advance(31_000)
+        assert service.query_latest(P("bnl/farm/n1"), "cpu.load1").source == "upstream"
+        assert (agent.queries, net.dial_counts["agent:1"]) == (2, 2)
+
+    def test_concurrent_fetches_hold_one_session_each(self, clock):
+        n_threads, rounds = 16, 150  # 16: the probe's default fanout
+        batch = [make_sample(ts=EPOCH_MS + i, value=i) for i in range(3)]
+        all_in_flight = threading.Barrier(n_threads)
+        arrivals = itertools.count()
+
+        class Archive(WireHandler):
+            def on_query_range(self, path, metric, t0, t1, hops):
+                if next(arrivals) < n_threads:  # first round: every thread holds a session
+                    all_in_flight.wait(10)
+                return batch
+
+        net, service = _stack(clock)
+        archive = WireServer(Archive(), clock)
+        net.add("arch:1", archive)
+        service.registry.register(P("bnl"), "archive", "arch:1", 600, clock.now())
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(rounds):
+                    got = service.query_history(P("bnl/farm/n1"), "cpu.load1", 1, 2**60)
+                    assert got == batch
+            except Exception as exc:  # reported below; a thread cannot fail the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # sessions never outnumber the fetches once in flight together
+        assert net.dial_counts["arch:1"] == n_threads
+        assert len(archive.connections()) == n_threads
+        service.close()
+        assert archive.connections() == []  # every session was idle or closed
+
+
 class TestHistoryAndProbe:
     def _with_archive(self, clock):
         net, service = _stack(clock)
@@ -239,10 +409,10 @@ class TestHistoryAndProbe:
     def test_history_never_cached(self, clock):
         net, service, importer = self._with_archive(clock)
         importer.store.append(make_sample(ts=EPOCH_MS))
-        before = net.dial_counts.get("arch:1", 0)
+        ranges = _count_calls(importer, "on_query_range")
         for _ in range(3):
             service.query_history(P("bnl/farm/n1"), "cpu.load1", 1, 2**60)
-        assert net.dial_counts["arch:1"] == before + 3
+        assert len(ranges) == 3
 
     def test_no_archive_is_error(self, clock):
         _, service = _stack(clock)
@@ -259,14 +429,15 @@ class TestHistoryAndProbe:
         stale = make_sample(ts=EPOCH_MS - 50_000, value=0.1)
         importer.store.append(stale)
         fresh = make_sample(ts=clock.now(), value=0.9)
-        net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1"), fresh), clock))
+        agent = _AgentStub(P("bnl/farm/n1"), fresh)
+        net.add("agent:1", WireServer(agent, clock))
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
+        archive_latest = _count_calls(importer, "on_query_latest")
         got = service.trigger_probe(P("bnl/farm/n1"), "cpu.load1")
         assert got == fresh
         # probe result refills the cache: next latest query needs no upstream
-        dials = dict(net.dial_counts)
         assert service.query_latest(P("bnl/farm/n1"), "cpu.load1").source == "cache"
-        assert net.dial_counts == dials
+        assert (agent.queries, len(archive_latest)) == (1, 0)
 
     def test_trigger_probe_agent_down(self, clock):
         net, service, _ = self._with_archive(clock)
@@ -320,6 +491,31 @@ class TestFederation:
         b.registry.register(P("bnl"), "directory", "a:1", 600, clock.now())
         with pytest.raises(HopLimitExceeded):
             a.query_latest(P("bnl/farm/n1"), "cpu.load1")
+
+    def test_cycle_over_held_sessions_hits_hop_limit(self, clock):
+        net = _Net()
+        a = DirectoryService(clock, net.dial, name="a")
+        b = DirectoryService(clock, net.dial, name="b")
+        net.add("a:1", a.server)
+        net.add("b:1", b.server)
+        a.registry.register(P("bnl"), "directory", "b:1", 600, clock.now())
+        b.registry.register(P("bnl"), "directory", "a:1", 600, clock.now())
+        outcomes, dials = [], []
+
+        def query():
+            try:
+                a.query_latest(P("bnl/farm/n1"), "cpu.load1")
+            except HopLimitExceeded:
+                outcomes.append("hop_limit")
+
+        for _ in range(2):
+            thread = threading.Thread(target=query, daemon=True)
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive(), "federation cycle deadlocked"
+            dials.append(dict(net.dial_counts))
+        assert outcomes == ["hop_limit", "hop_limit"]
+        assert dials[0] == dials[1]  # the second pass ran on sessions the first left idle
 
     def test_history_federates(self, clock):
         net, parent, bnl, uta = self._tree(clock)

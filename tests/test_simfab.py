@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 
 from fabmon.agent.synthetic import plausible_range
+from fabmon.core import ResourcePath, SimClock
 from fabmon.simfab import FaultSpec, SimConfig, run_sim, synth_samples
-from fabmon.simfab.fabric import SIM_EPOCH_MS
+from fabmon.simfab.fabric import SIM_EPOCH_MS, SimNetwork
+from fabmon.wire import ConnectionLost, WireClient, WireServer
+from fabmon.wire.session import WireHandler
 
 
 class TestSyntheticGenerator:
@@ -75,8 +81,29 @@ class TestBaselineRun:
                                           t0_ms=100_000, t1_ms=400_000),))
         assert run_sim(cfg).report_bytes() == run_sim(cfg).report_bytes()
 
+    def test_report_ignores_wall_clock(self, monkeypatch):
+        cfg = SimConfig(n_hosts=4, n_sites=2, duration_s=320, seed=33, probe_period_s=300)
+        expected = run_sim(cfg).report_bytes()
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) * 0.007)  # 7 ms a call
+        assert run_sim(cfg).report_bytes() == expected
+
 
 class TestFaults:
+    def test_held_session_fails_while_host_down(self):
+        host = "site1/farm/node0000"
+        cfg = SimConfig(n_hosts=2, n_sites=2, duration_s=600, faults=(
+            FaultSpec(kind="host_down", target=host, t0_ms=100_000, t1_ms=200_000),))
+        clock = SimClock(SIM_EPOCH_MS)
+        network = SimNetwork(clock, cfg)
+        network.add("agent:1", WireServer(WireHandler(), clock), host=host)
+        client = WireClient(network.dial("agent:1"), role="consumer")
+        clock.advance(150_000)
+        with pytest.raises(ConnectionLost):
+            client.query_latest(ResourcePath.parse(host), "cpu.load1")
+        with pytest.raises(ConnectionRefusedError):
+            network.dial("agent:1")
+
     def test_host_down_visible_within_one_cycle(self):
         period = 120
         fault = FaultSpec(kind="host_down", target="site1/farm/node0000",

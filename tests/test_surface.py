@@ -3,8 +3,11 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +227,36 @@ class TestCli:
                         "--minutes", "2", "--seed", "9", "--report", str(out))
             assert proc.returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_directory_stops_cleanly_on_sigterm(self, tmp_path):
+        ports = []
+        for _ in range(2):
+            with socket.socket() as s:
+                s.bind(("127.0.0.1", 0))
+                ports.append(s.getsockname()[1])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoints": {
+            "directory": f"127.0.0.1:{ports[0]}", "directory_http": f"127.0.0.1:{ports[1]}"}}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fabmon.surface.cli", "directory", "run",
+             "--config", str(config)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                assert proc.poll() is None and time.monotonic() < deadline, "never listened"
+                try:
+                    socket.create_connection(("127.0.0.1", ports[0]), timeout=1).close()
+                    break
+                except OSError:
+                    time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, stderr
 
     def test_query_against_unreachable_directory_exits_1(self):
         proc = _cli("query", "latest", "bnl/farm/n1", "cpu.load1",
