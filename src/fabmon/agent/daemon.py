@@ -227,22 +227,29 @@ class Agent(WireHandler):
 
     # -- registration ---------------------------------------------------------
 
+    def _directory_call(self, what: str, call: Callable[[WireClient], int]) -> Optional[int]:
+        """One short producer session to the directory; failures are logged, not raised."""
+        try:
+            channel = self.dial(self.config.directory_endpoint)
+            client = WireClient(channel, role="producer", name=f"agent:{self.config.host_path}")
+            try:
+                return call(client)
+            finally:
+                client.close()
+        except (ConnectionError, OSError, TimeoutError, ConnectionLost, UpstreamError) as exc:
+            log.info("directory %s failed: %s", what, exc)
+            return None
+
     def _maybe_register(self, now: int) -> None:
         if not self.dial or not self.config.directory_endpoint or not self.config.listen_endpoint:
             return
         if now < self._registered_until - (self.config.registration_ttl * 1000) // 2:
             return
-        try:
-            channel = self.dial(self.config.directory_endpoint)
-            client = WireClient(channel, role="producer", name=f"agent:{self.config.host_path}")
-            try:
-                self._registered_until = client.register(
-                    self.config.host_path, "agent",
-                    self.config.listen_endpoint, self.config.registration_ttl)
-            finally:
-                client.close()
-        except (ConnectionError, OSError, TimeoutError, ConnectionLost, UpstreamError) as exc:
-            log.info("directory registration failed: %s", exc)
+        expires_at = self._directory_call("registration", lambda client: client.register(
+            self.config.host_path, "agent",
+            self.config.listen_endpoint, self.config.registration_ttl))
+        if expires_at is not None:
+            self._registered_until = expires_at
 
     # -- main loop --------------------------------------------------------------
 
@@ -274,12 +281,17 @@ class Agent(WireHandler):
             self.clock.sleep_until(max(wake, now + 50))
 
     def stop(self) -> None:
+        """End the run loop, close the importer link and drop the directory lease."""
         self._stop.set()
         if self._client is not None:
             try:
                 self._client.close()
             except Exception:
                 pass
+        if self._registered_until:
+            self._directory_call("deregistration", lambda client: client.deregister(
+                self.config.host_path, self.config.listen_endpoint))
+            self._registered_until = 0
 
     # -- the agent's own query server ---------------------------------------------
 

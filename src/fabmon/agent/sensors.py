@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from fabmon.core import MetricDescriptor
-from fabmon.agent import synthetic
 
 BUILTIN_KINDS = ("cpu_load", "memory", "disk", "uptime_idle", "net_rtt")
 
@@ -153,13 +152,6 @@ def read_builtin(kind: str, params: dict | None = None) -> list[tuple[str, float
             raise SensorUnavailable("net_rtt needs params['peer']")
         return [("net.rtt_ms", _measure_rtt(peer, params.get("dial"), params.get("timeout", 5.0)))]
     raise SensorUnavailable(f"unknown builtin sensor kind {kind!r}")
-
-
-def read_synthetic(kind: str, host: str, tick: int, seed: int) -> list[tuple[str, float]]:
-    """Deterministic stand-in for read_builtin; same metric shapes."""
-    if kind not in BUILTIN_METRICS:
-        raise SensorUnavailable(f"unknown builtin sensor kind {kind!r}")
-    return [(m, synthetic.synthetic_value(host, m, tick, seed)) for m in BUILTIN_METRICS[kind]]
 
 
 def default_sensor_specs(period: float = 30.0, include_net: bool = False) -> list[SensorSpec]:

@@ -75,14 +75,6 @@ class ResourcePath:
         return self.components[0]
 
 
-def parse_path(text: str) -> ResourcePath:
-    return ResourcePath.parse(text)
-
-
-def format_path(path: ResourcePath) -> str:
-    return str(path)
-
-
 class Status(IntEnum):
     """Health levels ordered by severity; rollups take the worst."""
 

@@ -76,9 +76,6 @@ class Registry:
             self._put(entry)
         return entry.expires_at
 
-    def renew(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int, now: int) -> int:
-        return self.register(subtree, kind, endpoint, ttl, now)
-
     def deregister(self, subtree: ResourcePath, endpoint: str) -> int:
         with self._lock:
             return 0 if self._drop((subtree.components, endpoint)) is None else 1

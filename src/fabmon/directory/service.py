@@ -288,11 +288,7 @@ class DirectoryService(WireHandler):
         except InvalidTTL as exc:
             raise RequestError("invalid_ttl", str(exc)) from None
 
-    def on_renew(self, subtree, kind, endpoint, ttl):
-        try:
-            return self.registry.renew(subtree, kind, endpoint, ttl, self.clock.now())
-        except InvalidTTL as exc:
-            raise RequestError("invalid_ttl", str(exc)) from None
+    on_renew = on_register  # a registration renews in place
 
     def on_deregister(self, subtree, endpoint):
         return self.registry.deregister(subtree, endpoint)

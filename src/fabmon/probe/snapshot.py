@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,7 +44,6 @@ class Snapshot:
     completed_at: int
     sites: list[SiteReport]
     schema: int = SCHEMA_VERSION
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

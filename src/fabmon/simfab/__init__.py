@@ -5,5 +5,4 @@ from fabmon.simfab.fabric import (  # noqa: F401
     SimNetwork,
     SimResult,
     run_sim,
-    synth_samples,
 )

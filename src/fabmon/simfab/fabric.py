@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from fabmon.agent.daemon import Agent, AgentConfig
 from fabmon.agent.sensors import SensorSpec
-from fabmon.agent.synthetic import synthetic_value
 from fabmon.archive.importer import Importer
 from fabmon.archive.store import MemoryStore
 from fabmon.core import MetricDescriptor, MetricSample, ResourcePath, SimClock, Status
@@ -122,11 +121,6 @@ class SimConfig:
                 for f in self.faults
             ],
         }
-
-
-def synth_samples(host: str, metric: str, tick: int, seed: int) -> float:
-    """Deterministic synthetic reading; exposed for shadow models and tests."""
-    return synthetic_value(host, metric, tick, seed)
 
 
 class SimNetwork:

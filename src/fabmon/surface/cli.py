@@ -43,20 +43,40 @@ def _stop_on_sigterm() -> None:
     signal.signal(signal.SIGTERM, signal.default_int_handler)
 
 
-def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threading.Event):
-    """Keep registrations alive; retry quickly while the directory is down."""
-    while not stop.is_set():
+def _for_each_subtree(directory_endpoint, endpoint, subtrees, call) -> bool:
+    """call(client, subtree) for each subtree over one producer session to the directory.
+
+    Returns False, after logging, when the directory is unreachable or refuses.
+    """
+    try:
+        client = WireClient(tcp_dial(directory_endpoint), role="producer", name=endpoint)
         try:
-            client = WireClient(tcp_dial(directory_endpoint), role="producer", name=endpoint)
-            try:
-                for subtree in subtrees:
-                    client.register(subtree, kind, endpoint, ttl)
-            finally:
-                client.close()
-            stop.wait(max(5.0, ttl / 2))
-        except (ConnectionError, OSError, TimeoutError, ConnectionLost, UpstreamError) as exc:
-            log.info("registration with %s failed: %s", directory_endpoint, exc)
-            stop.wait(5.0)
+            for subtree in subtrees:
+                call(client, subtree)
+        finally:
+            client.close()
+        return True
+    except (ConnectionError, OSError, TimeoutError, ConnectionLost, UpstreamError) as exc:
+        log.info("directory %s: %s", directory_endpoint, exc)
+        return False
+
+
+def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threading.Event):
+    """Keep registrations alive until stop is set, then deregister them (best effort).
+
+    Retries quickly while the directory is down; a stop with the directory down
+    leaves the leases to expire.
+    """
+    def register(client, subtree):
+        client.register(subtree, kind, endpoint, ttl)
+
+    def deregister(client, subtree):
+        client.deregister(subtree, endpoint)
+
+    while not stop.is_set():
+        ok = _for_each_subtree(directory_endpoint, endpoint, subtrees, register)
+        stop.wait(max(5.0, ttl / 2) if ok else 5.0)
+    _for_each_subtree(directory_endpoint, endpoint, subtrees, deregister)
 
 
 def cmd_agent_run(args) -> int:
@@ -95,14 +115,15 @@ def cmd_importer_run(args) -> int:
 
     stop = threading.Event()
     subtrees = [ResourcePath.parse(s) for s in sect.get("subtrees", [])]
+    keeper = threading.Thread(
+        target=_lease_keeper,
+        args=(sect.get("directory", eps["directory"]), subtrees, "archive",
+              sect.get("advertise", server.endpoint),
+              sect.get("registration_ttl_s", 120), stop),
+        daemon=True,
+    )
     if subtrees:
-        threading.Thread(
-            target=_lease_keeper,
-            args=(sect.get("directory", eps["directory"]), subtrees, "archive",
-                  sect.get("advertise", server.endpoint),
-                  sect.get("registration_ttl_s", 120), stop),
-            daemon=True,
-        ).start()
+        keeper.start()
 
     retention = sect.get("retention")
     try:
@@ -119,6 +140,8 @@ def cmd_importer_run(args) -> int:
         pass
     finally:
         stop.set()
+        if subtrees:
+            keeper.join()  # the keeper deregisters before it ends
         server.stop()
         store.close()
     return 0
@@ -198,7 +221,7 @@ def cmd_serve(args) -> int:
         directory_endpoint=sect.get("directory", eps["directory"]),
         host=host, port=port,
         dial=tcp_dial,
-        extra={"directory_http": sect.get("directory_http", eps["directory_http"])},
+        directory_http=sect.get("directory_http", eps["directory_http"]),
     ))
     log.info("surface on %s", server.endpoint)
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,7 +41,8 @@ class SurfaceConfig:
     dial: Optional[Callable] = None
     # when colocated with a directory, serve /registry straight from it
     directory: object = None  # DirectoryService or None
-    extra: dict = field(default_factory=dict)
+    # standalone surface: the directory daemon's HTTP listener, for /registry
+    directory_http: str = ""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -135,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json(200, {"registrations": cfg.directory.registry_dump()})
                 return
             # standalone surface: proxy the directory daemon's own listener
-            admin = cfg.extra.get("directory_http", "")
+            admin = cfg.directory_http
             if not admin:
                 self._error(503, "no directory attached to this surface")
                 return

@@ -2,7 +2,6 @@ from fabmon.wire.codec import (  # noqa: F401
     MalformedRecord,
     Message,
     SchemaViolation,
-    decode_message,
     decode_sample,
     decode_wire_line,
     encode_message,

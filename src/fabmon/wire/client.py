@@ -98,37 +98,37 @@ class WireClient:
 
     def register(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
         reply = self._request("REGISTER", {
-            "subtree": str(subtree), "kind": kind, "endpoint": endpoint, "ttl": ttl})
+            "subtree": subtree, "kind": kind, "endpoint": endpoint, "ttl": ttl})
         return reply.body["expires_at"]
 
     def renew(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
         reply = self._request("RENEW", {
-            "subtree": str(subtree), "kind": kind, "endpoint": endpoint, "ttl": ttl})
+            "subtree": subtree, "kind": kind, "endpoint": endpoint, "ttl": ttl})
         return reply.body["expires_at"]
 
     def deregister(self, subtree: ResourcePath, endpoint: str) -> int:
-        reply = self._request("DEREGISTER", {"subtree": str(subtree), "endpoint": endpoint})
+        reply = self._request("DEREGISTER", {"subtree": subtree, "endpoint": endpoint})
         return reply.body.get("removed", 0)
 
     # -- consumer verbs ---------------------------------------------------
 
     def subscribe(self, prefix: ResourcePath, metric: str, expires: int) -> None:
-        self._request("SUBSCRIBE", {"prefix": str(prefix), "metric": metric, "expires": expires})
+        self._request("SUBSCRIBE", {"prefix": prefix, "metric": metric, "expires": expires})
 
     def unsubscribe(self, prefix: ResourcePath, metric: str) -> int:
-        reply = self._request("UNSUBSCRIBE", {"prefix": str(prefix), "metric": metric})
+        reply = self._request("UNSUBSCRIBE", {"prefix": prefix, "metric": metric})
         return reply.body.get("removed", 0)
 
     def query_latest(self, path: ResourcePath, metric: str, hops: int = 0) -> LatestResult:
-        body = {"path": str(path), "metric": metric}
+        body = {"path": path, "metric": metric}
         if hops:
             body["hops"] = hops
         reply = self._request("QUERY_LATEST", body)
-        obj = reply.body.get("sample")
-        if obj is None:
+        sample = reply.body.get("sample")
+        if sample is None:
             return LatestResult(None)
         return LatestResult(
-            sample=codec.sample_from_obj(obj),
+            sample=sample,
             stale=reply.body.get("stale", False),
             source=reply.body.get("source", "upstream"),
         )
@@ -136,11 +136,11 @@ class WireClient:
     def query_range(
         self, path: ResourcePath, metric: str, t0: int, t1: int, hops: int = 0
     ) -> list[MetricSample]:
-        body = {"path": str(path), "metric": metric, "t0": t0, "t1": t1}
+        body = {"path": path, "metric": metric, "t0": t0, "t1": t1}
         if hops:
             body["hops"] = hops
         reply = self._request("QUERY_RANGE", body)
-        return [codec.sample_from_obj(o) for o in reply.body.get("samples", [])]
+        return reply.body.get("samples", [])
 
     # -- pushed stream -----------------------------------------------------
 

@@ -11,7 +11,9 @@ a "cid" correlation id:
     {"k":"QUERY_LATEST","cid":7,"path":"bnl/farm/n1","m... }\n
 
 Decoding is strict: unknown keys, missing keys and wrong types are all
-rejected, so a control line can never be mistaken for a sample.
+rejected, so a control line can never be mistaken for a sample. Decoding is
+also the only validation: a decoded message carries domain values
+(ResourcePath, MetricSample), and encoding serializes them as they are.
 """
 
 from __future__ import annotations
@@ -31,24 +33,10 @@ class SchemaViolation(ValueError):
     """Line parsed but keys/types do not match the record or message schema."""
 
 
-KINDS = (
-    "HELLO",
-    "SAMPLE",
-    "SUBSCRIBE",
-    "UNSUBSCRIBE",
-    "QUERY_LATEST",
-    "QUERY_RANGE",
-    "REGISTER",
-    "RENEW",
-    "DEREGISTER",
-    "REPLY",
-    "ERROR",
-)
-
 PROVIDER_KINDS = ("agent", "archive", "directory")
 ROLES = ("producer", "consumer")
 
-_SAMPLE_KEYS = ("t", "p", "m", "v", "ttl")
+_SAMPLE_KEYS = frozenset(("t", "p", "m", "v", "ttl"))
 
 
 def _reject_constant(_value):
@@ -67,49 +55,21 @@ def _loads(line: bytes) -> dict:
     return obj
 
 
-def encode_sample(sample: MetricSample) -> bytes:
-    """Serialize one sample as a record line, trailing newline included."""
+def _dumps(obj: dict) -> bytes:
+    """One line, trailing newline included; non-finite numbers raise ValueError."""
     return (
-        json.dumps(
-            {
-                "t": sample.timestamp,
-                "p": str(sample.path),
-                "m": sample.metric,
-                "v": sample.value,
-                "ttl": sample.ttl,
-            },
-            separators=(",", ":"),
-            ensure_ascii=False,
-            allow_nan=False,
-        ).encode("utf-8")
+        json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
         + b"\n"
     )
 
 
-def sample_from_obj(obj: dict) -> MetricSample:
-    if set(obj.keys()) != set(_SAMPLE_KEYS):
-        missing = set(_SAMPLE_KEYS) - set(obj.keys())
-        extra = set(obj.keys()) - set(_SAMPLE_KEYS)
-        raise SchemaViolation(f"sample keys off: missing={sorted(missing)} extra={sorted(extra)}")
-    t, p, m, v, ttl = obj["t"], obj["p"], obj["m"], obj["v"], obj["ttl"]
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise SchemaViolation("t must be an integer (unix ms)")
-    if not isinstance(p, str):
-        raise SchemaViolation("p must be a path string")
-    if not isinstance(m, str):
-        raise SchemaViolation("m must be a metric token")
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise SchemaViolation("v must be a number or string")
-    if isinstance(ttl, bool) or not isinstance(ttl, int):
-        raise SchemaViolation("ttl must be an integer (seconds)")
+def _path(value: Any) -> ResourcePath:
+    if not isinstance(value, str):
+        raise SchemaViolation("path must be a string")
     try:
-        path = ResourcePath.parse(p)
+        return ResourcePath.parse(value)
     except MalformedPath as exc:
         raise SchemaViolation(f"bad path: {exc}") from None
-    try:
-        return MetricSample(path=path, metric=m, timestamp=t, value=v, ttl=ttl)
-    except (TypeError, ValueError) as exc:
-        raise SchemaViolation(str(exc)) from None
 
 
 def sample_to_obj(sample: MetricSample) -> dict:
@@ -122,6 +82,24 @@ def sample_to_obj(sample: MetricSample) -> dict:
     }
 
 
+def sample_from_obj(obj: dict) -> MetricSample:
+    """Build a sample from a decoded record; MetricSample checks the field types."""
+    keys = obj.keys()
+    if keys != _SAMPLE_KEYS:
+        raise SchemaViolation(
+            f"sample keys off: missing={sorted(_SAMPLE_KEYS - keys)} extra={sorted(keys - _SAMPLE_KEYS)}")
+    try:
+        return MetricSample(path=_path(obj["p"]), metric=obj["m"], timestamp=obj["t"],
+                            value=obj["v"], ttl=obj["ttl"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(str(exc)) from None
+
+
+def encode_sample(sample: MetricSample) -> bytes:
+    """Serialize one sample as a record line, trailing newline included."""
+    return _dumps(sample_to_obj(sample))
+
+
 def decode_sample(line: bytes) -> MetricSample:
     """Strict inverse of encode_sample."""
     return sample_from_obj(_loads(line))
@@ -129,7 +107,12 @@ def decode_sample(line: bytes) -> MetricSample:
 
 @dataclass(frozen=True)
 class Message:
-    """One control message; body holds kind-specific JSON-level fields."""
+    """One control message.
+
+    body holds the kind's fields as domain values: path, prefix and subtree
+    are ResourcePaths, sample is a MetricSample or None, samples a list of
+    MetricSamples; every other field is its JSON value.
+    """
 
     kind: str
     cid: int | None
@@ -198,8 +181,23 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
 }
 
 
-def _check_type(name: str, tag: str, value: Any) -> None:
-    if tag == "int":
+def _convert(name: str, tag: str, value: Any) -> Any:
+    """Check one decoded field and return its domain value."""
+    if tag == "path":
+        return _path(value)
+    if tag == "sample_or_null":
+        if value is None:
+            return None
+        if isinstance(value, dict):
+            return sample_from_obj(value)
+        ok = False
+    elif tag == "sample_list":
+        if isinstance(value, list):
+            if not all(isinstance(item, dict) for item in value):
+                raise SchemaViolation(f"{name} entries must be sample objects")
+            return [sample_from_obj(item) for item in value]
+        ok = False
+    elif tag == "int":
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif tag == "str":
         ok = isinstance(value, str)
@@ -209,61 +207,50 @@ def _check_type(name: str, tag: str, value: Any) -> None:
         ok = value in ROLES
     elif tag == "provider_kind":
         ok = value in PROVIDER_KINDS
-    elif tag == "path":
-        if isinstance(value, str):
-            try:
-                ResourcePath.parse(value)
-                ok = True
-            except MalformedPath:
-                ok = False
-        else:
-            ok = False
     elif tag == "metric":
         ok = is_token(value)
     elif tag == "metric_or_star":
         ok = value == "*" or is_token(value)
-    elif tag == "sample_or_null":
-        if value is None:
-            ok = True
-        elif isinstance(value, dict):
-            sample_from_obj(value)  # raises SchemaViolation itself
-            ok = True
-        else:
-            ok = False
-    elif tag == "sample_list":
-        if not isinstance(value, list):
-            ok = False
-        else:
-            for item in value:
-                if not isinstance(item, dict):
-                    raise SchemaViolation(f"{name} entries must be sample objects")
-                sample_from_obj(item)
-            ok = True
     else:  # pragma: no cover - schema table bug
         raise AssertionError(f"unknown type tag {tag}")
     if not ok:
         raise SchemaViolation(f"field {name!r} has wrong type or value")
+    return value
+
+
+def _to_wire(name: str, tag: str, value: Any) -> Any:
+    """Serialize one field's domain value; scalars go out as they are."""
+    if tag == "path":
+        if not isinstance(value, ResourcePath):
+            raise TypeError(f"field {name!r} must be a ResourcePath")
+        return str(value)
+    if tag == "sample_or_null":
+        if value is None:
+            return None
+        if not isinstance(value, MetricSample):
+            raise TypeError(f"field {name!r} must be a MetricSample or None")
+        return sample_to_obj(value)
+    if tag == "sample_list":
+        if not all(isinstance(s, MetricSample) for s in value):
+            raise TypeError(f"field {name!r} must hold MetricSamples")
+        return [sample_to_obj(s) for s in value]
+    return value
 
 
 def encode_message(msg: Message) -> bytes:
     if msg.kind not in _SCHEMAS:
         raise ValueError(f"cannot encode message kind {msg.kind!r}")
     schema = _SCHEMAS[msg.kind]
-    known = {name for name, _, _ in schema}
-    extra = set(msg.body) - known
+    extra = msg.body.keys() - {name for name, _, _ in schema}
     if extra:
         raise ValueError(f"unknown fields for {msg.kind}: {sorted(extra)}")
     out: dict[str, Any] = {"k": msg.kind, "cid": msg.cid}
     for name, tag, required in schema:
         if name in msg.body:
-            _check_type(name, tag, msg.body[name])
-            out[name] = msg.body[name]
+            out[name] = _to_wire(name, tag, msg.body[name])
         elif required:
             raise ValueError(f"{msg.kind} requires field {name!r}")
-    return (
-        json.dumps(out, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
-        + b"\n"
-    )
+    return _dumps(out)
 
 
 def message_from_obj(obj: dict) -> Message:
@@ -281,25 +268,16 @@ def message_from_obj(obj: dict) -> Message:
     elif isinstance(cid, bool) or not isinstance(cid, int):
         raise SchemaViolation("cid must be an integer")
     schema = _SCHEMAS[kind]
-    known = {name for name, _, _ in schema}
-    extra = set(obj) - known - {"k", "cid"}
+    extra = obj.keys() - {name for name, _, _ in schema} - {"k", "cid"}
     if extra:
         raise SchemaViolation(f"unknown fields for {kind}: {sorted(extra)}")
     body = {}
     for name, tag, required in schema:
         if name in obj:
-            _check_type(name, tag, obj[name])
-            body[name] = obj[name]
+            body[name] = _convert(name, tag, obj[name])
         elif required:
             raise SchemaViolation(f"{kind} requires field {name!r}")
     return Message(kind=kind, cid=cid, body=body)
-
-
-def decode_message(line: bytes) -> Message:
-    obj = _loads(line)
-    if "k" not in obj:
-        raise SchemaViolation("not a control message (no k field)")
-    return message_from_obj(obj)
 
 
 def decode_wire_line(line: bytes) -> Message | MetricSample:

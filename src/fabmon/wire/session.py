@@ -230,20 +230,16 @@ class WireServer:
         body = msg.body
         if msg.kind == "SUBSCRIBE":
             sub = Subscription(
-                prefix=ResourcePath.parse(body["prefix"]),
-                metric_filter=body["metric"],
-                expiry=body["expires"],
-            )
+                prefix=body["prefix"], metric_filter=body["metric"], expiry=body["expires"])
             conn.subscriptions.append(sub)
             with self._lock:
                 self._subscribed.add(id(conn))
             return Message("REPLY", msg.cid, {"ok": True})
         if msg.kind == "UNSUBSCRIBE":
-            prefix = ResourcePath.parse(body["prefix"])
             before = len(conn.subscriptions)
             conn.subscriptions = [
                 s for s in conn.subscriptions
-                if not (s.prefix == prefix and s.metric_filter == body["metric"])
+                if not (s.prefix == body["prefix"] and s.metric_filter == body["metric"])
             ]
             if not conn.subscriptions:
                 with self._lock:
@@ -251,25 +247,20 @@ class WireServer:
             return Message("REPLY", msg.cid, {"ok": True, "removed": before - len(conn.subscriptions)})
         if msg.kind == "QUERY_LATEST":
             sample, stale, source = self.handler.on_query_latest(
-                ResourcePath.parse(body["path"]), body["metric"], body.get("hops", 0))
-            reply_body = {"sample": codec.sample_to_obj(sample) if sample else None}
-            if sample:
-                reply_body["stale"] = stale
-                reply_body["source"] = source
-            return Message("REPLY", msg.cid, reply_body)
+                body["path"], body["metric"], body.get("hops", 0))
+            if sample is None:
+                return Message("REPLY", msg.cid, {"sample": None})
+            return Message("REPLY", msg.cid, {"sample": sample, "stale": stale, "source": source})
         if msg.kind == "QUERY_RANGE":
             samples = self.handler.on_query_range(
-                ResourcePath.parse(body["path"]), body["metric"],
-                body["t0"], body["t1"], body.get("hops", 0))
-            return Message("REPLY", msg.cid, {"samples": [codec.sample_to_obj(s) for s in samples]})
+                body["path"], body["metric"], body["t0"], body["t1"], body.get("hops", 0))
+            return Message("REPLY", msg.cid, {"samples": samples})
         if msg.kind in ("REGISTER", "RENEW"):
             fn = self.handler.on_register if msg.kind == "REGISTER" else self.handler.on_renew
-            expires_at = fn(
-                ResourcePath.parse(body["subtree"]), body["kind"], body["endpoint"], body["ttl"])
+            expires_at = fn(body["subtree"], body["kind"], body["endpoint"], body["ttl"])
             return Message("REPLY", msg.cid, {"expires_at": expires_at})
         if msg.kind == "DEREGISTER":
-            removed = self.handler.on_deregister(
-                ResourcePath.parse(body["subtree"]), body["endpoint"])
+            removed = self.handler.on_deregister(body["subtree"], body["endpoint"])
             return Message("REPLY", msg.cid, {"ok": True, "removed": removed})
         raise RequestError("unsupported", f"no dispatch for {msg.kind}")  # pragma: no cover
 

@@ -38,7 +38,7 @@ from fabmon.surface.httpd import SurfaceConfig, SurfaceServer
 from fabmon.surface.textview import render_text_status
 from fabmon.wire.channel import TcpWireServer, tcp_dial
 from fabmon.wire.client import WireClient
-from fabmon.wire.codec import decode_message, decode_sample, encode_message, encode_sample
+from fabmon.wire.codec import decode_sample, decode_wire_line, encode_message, encode_sample
 from golden_fixtures import fixed_snapshot
 from test_wire import messages
 
@@ -199,7 +199,7 @@ def test_04_registration_ttl_semantics():
                 subtree = ResourcePath(key[0])
                 ttl = rng.randint(5, 86_400)
                 at = rng.randrange(0, 20_000_000)
-                expires = registry.renew(subtree, "agent", key[1], ttl, now=at)
+                expires = registry.register(subtree, "agent", key[1], ttl, now=at)
                 assert expires == at + ttl * 1000  # renewal extends exactly
                 book[key] = expires
             sweep_at = rng.randrange(0, 40_000_000)
@@ -244,7 +244,7 @@ def test_06_wire_round_trip_and_golden_fixtures():
         @given(messages())
         def message_trip(m):
             counter["n"] += 1
-            assert decode_message(encode_message(m)) == m
+            assert decode_wire_line(encode_message(m)) == m
 
         sample_trip()
         message_trip()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,10 @@ from fabmon.agent import (
     read_builtin,
     run_external,
 )
-from fabmon.agent.sensors import read_synthetic
+from fabmon.agent.sensors import BUILTIN_METRICS
+from fabmon.agent.synthetic import synthetic_value
 from fabmon.archive import Importer, MemoryStore
+from fabmon.directory import DirectoryService
 from fabmon.wire import connect_memory
 from fabmon.wire.codec import encode_sample
 
@@ -285,14 +288,17 @@ class TestRealSensors:
 
 class TestSyntheticSensors:
     def test_same_shapes_as_real(self):
-        for kind in ("cpu_load", "memory", "disk", "uptime_idle", "net_rtt"):
-            readings = read_synthetic(kind, "bnl/farm/n1", EPOCH_MS, seed=1)
+        assert set(BUILTIN_METRICS) == {"cpu_load", "memory", "disk", "uptime_idle", "net_rtt"}
+        for kind, metrics in BUILTIN_METRICS.items():
+            readings = [(m, synthetic_value("bnl/farm/n1", m, EPOCH_MS, 1)) for m in metrics]
             assert readings, kind
+            assert all(isinstance(v, float) for _, v in readings), kind
             metric_names = [m for m, _ in readings]
             assert len(metric_names) == len(set(metric_names))
 
     def test_memory_containment(self):
-        readings = dict(read_synthetic("memory", "bnl/farm/n1", EPOCH_MS, seed=1))
+        readings = {m: synthetic_value("bnl/farm/n1", m, EPOCH_MS, 1)
+                    for m in BUILTIN_METRICS["memory"]}
         assert readings["mem.used_bytes"] <= readings["mem.total_bytes"]
 
 
@@ -365,3 +371,42 @@ class TestDefaultSpecs:
     def test_metric_ttls(self):
         spec = default_sensor_specs(period=30)[0]
         assert spec.metric_ttl("cpu.load1") == 90
+
+
+class TestDeregisterOnStop:
+    def _agent(self, clock, dial):
+        config = AgentConfig(host_path=HOST, sensors=[_synth_spec()],
+                             directory_endpoint="dir:1", listen_endpoint="agent:1",
+                             synthetic=True, emit_self_metrics=False)
+        return Agent(config, clock, dial=dial)
+
+    def test_stop_drops_the_lease_at_once(self, clock):
+        directory = DirectoryService(clock, lambda ep: None, name="dir")
+        agent = self._agent(clock, lambda ep: connect_memory(directory.server))
+        agent.tick(clock.now())
+        assert [e["endpoint"] for e in directory.registry_dump()] == ["agent:1"]
+        agent.stop()  # well inside the 120 s lease
+        assert directory.registry_dump() == []
+
+    def test_stop_with_directory_down_is_quiet_and_quick(self, clock):
+        directory = DirectoryService(clock, lambda ep: None, name="dir")
+        up = {"dir": True}
+
+        def dial(endpoint):
+            if not up["dir"]:
+                raise ConnectionRefusedError("directory down")
+            return connect_memory(directory.server)
+
+        agent = self._agent(clock, dial)
+        agent.tick(clock.now())
+        up["dir"] = False
+        started = time.monotonic()
+        agent.stop()  # logs and swallows the refused dial
+        assert time.monotonic() - started < 1.0
+        assert len(directory.registry_dump()) == 1  # left to expire with its lease
+
+    def test_never_registered_sends_nothing(self, clock):
+        dials = []
+        agent = self._agent(clock, lambda ep: dials.append(ep))
+        agent.stop()
+        assert dials == []

@@ -15,42 +15,40 @@ from fabmon.core import (
     SimClock,
     Status,
     combine_status,
-    format_path,
-    parse_path,
     validate_sample,
 )
 
 
 class TestResourcePath:
     def test_parse_decomposes(self):
-        assert parse_path("bnl/linux-farm/node0042").components == (
+        assert ResourcePath.parse("bnl/linux-farm/node0042").components == (
             "bnl", "linux-farm", "node0042")
 
     def test_parse_folds_case(self):
-        assert parse_path("BNL/Farm").components == ("bnl", "farm")
+        assert ResourcePath.parse("BNL/Farm").components == ("bnl", "farm")
 
     def test_empty_segment_rejected(self):
         with pytest.raises(MalformedPath):
-            parse_path("a//b")
+            ResourcePath.parse("a//b")
 
     @pytest.mark.parametrize("bad", ["", "/a", "a/", "-leading", "a/_x", "a b", "a/" + "x/" * 8])
     def test_malformed(self, bad):
         with pytest.raises(MalformedPath):
-            parse_path(bad)
+            ResourcePath.parse(bad)
 
     def test_depth_cap(self):
-        parse_path("/".join("abcdefgh"))  # exactly 8 is fine
+        ResourcePath.parse("/".join("abcdefgh"))  # exactly 8 is fine
         with pytest.raises(MalformedPath):
-            parse_path("/".join("abcdefghi"))
+            ResourcePath.parse("/".join("abcdefghi"))
 
     @given(paths())
     def test_round_trip(self, p):
-        assert parse_path(format_path(p)) == p
+        assert ResourcePath.parse(str(p)) == p
 
     def test_prefix(self):
-        assert parse_path("a/b").is_prefix_of(parse_path("a/b/c"))
-        assert not parse_path("a/b").is_prefix_of(parse_path("a/bc"))
-        assert not parse_path("a/b/c").is_prefix_of(parse_path("a/b"))
+        assert ResourcePath.parse("a/b").is_prefix_of(ResourcePath.parse("a/b/c"))
+        assert not ResourcePath.parse("a/b").is_prefix_of(ResourcePath.parse("a/bc"))
+        assert not ResourcePath.parse("a/b/c").is_prefix_of(ResourcePath.parse("a/b"))
 
 
 class TestStatus:
@@ -126,7 +124,7 @@ class TestTypes:
         with pytest.raises(TypeError):
             make_sample(value=[1])
         with pytest.raises(TypeError):
-            MetricSample(parse_path("a"), "m", 1.5, 1, 1)  # float timestamp
+            MetricSample(ResourcePath.parse("a"), "m", 1.5, 1, 1)  # float timestamp
 
     def test_descriptor_invariants(self):
         with pytest.raises(ValueError):

@@ -552,3 +552,14 @@ class TestWireSurface:
         with pytest.raises(UpstreamError) as err:
             producer.register(P("bnl"), "agent", "e", 3)
         assert err.value.code == "invalid_ttl"
+        with pytest.raises(UpstreamError) as err:
+            producer.renew(P("bnl"), "agent", "e", 86401)
+        assert err.value.code == "invalid_ttl"
+
+    def test_renew_over_the_wire_extends_in_place(self, clock):
+        net, service = _stack(clock)
+        producer = WireClient(net.dial("dir:1"), role="producer", name="x")
+        producer.register(P("bnl"), "agent", "e", 60)
+        clock.advance(30_000)
+        assert producer.renew(P("bnl"), "agent", "e", 60) == clock.now() + 60_000
+        assert [r["expires_at"] for r in service.registry_dump()] == [clock.now() + 60_000]

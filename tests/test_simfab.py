@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from fabmon.agent.synthetic import plausible_range
+from fabmon.agent.synthetic import plausible_range, synthetic_value
 from fabmon.core import ResourcePath, SimClock
-from fabmon.simfab import FaultSpec, SimConfig, run_sim, synth_samples
+from fabmon.simfab import FaultSpec, SimConfig, run_sim
 from fabmon.simfab.fabric import SIM_EPOCH_MS, SimNetwork
 from fabmon.wire import ConnectionLost, WireClient, WireServer
 from fabmon.wire.session import WireHandler
@@ -15,28 +15,28 @@ from fabmon.wire.session import WireHandler
 
 class TestSyntheticGenerator:
     def test_same_inputs_same_value(self):
-        a = synth_samples("site1/farm/node0001", "cpu.util", 12345, 42)
-        b = synth_samples("site1/farm/node0001", "cpu.util", 12345, 42)
+        a = synthetic_value("site1/farm/node0001", "cpu.util", 12345, 42)
+        b = synthetic_value("site1/farm/node0001", "cpu.util", 12345, 42)
         assert a == b
 
     def test_inputs_change_value(self):
-        base = synth_samples("h1", "cpu.util", 1000, 1)
-        assert base != synth_samples("h2", "cpu.util", 1000, 1)
-        assert base != synth_samples("h1", "cpu.util", 2000, 1)
-        assert base != synth_samples("h1", "cpu.util", 1000, 2)
+        base = synthetic_value("h1", "cpu.util", 1000, 1)
+        assert base != synthetic_value("h2", "cpu.util", 1000, 1)
+        assert base != synthetic_value("h1", "cpu.util", 2000, 1)
+        assert base != synthetic_value("h1", "cpu.util", 1000, 2)
 
     @pytest.mark.parametrize("metric", ["cpu.load1", "cpu.util", "mem.used_bytes",
                                         "net.rtt_ms", "sys.uptime_s", "sys.idle_s"])
     def test_bounds_over_ten_thousand_ticks(self, metric):
         lo, hi = plausible_range(metric)
         for tick in range(0, 10_000 * 30_000, 30_000):  # 10^4 scheduled reads
-            v = synth_samples("site1/farm/node0001", metric, SIM_EPOCH_MS + tick, 7)
+            v = synthetic_value("site1/farm/node0001", metric, SIM_EPOCH_MS + tick, 7)
             assert lo <= v <= hi, (metric, tick, v)
 
     def test_idle_below_uptime(self):
         for tick in range(0, 100 * 30_000, 30_000):
-            up = synth_samples("h1", "sys.uptime_s", SIM_EPOCH_MS + tick, 3)
-            idle = synth_samples("h1", "sys.idle_s", SIM_EPOCH_MS + tick, 3)
+            up = synthetic_value("h1", "sys.uptime_s", SIM_EPOCH_MS + tick, 3)
+            idle = synthetic_value("h1", "sys.idle_s", SIM_EPOCH_MS + tick, 3)
             assert 0 <= idle <= up
 
 

@@ -12,12 +12,12 @@ import time
 import pytest
 
 from conftest import EPOCH_MS, make_sample
-from fabmon.core import ResourcePath, SimClock
+from fabmon.core import ResourcePath, SimClock, SystemClock
 from fabmon.archive import Importer, MemoryStore
 from fabmon.directory import DirectoryService
 from fabmon.probe import publish_snapshot
 from fabmon.surface import SurfaceConfig, SurfaceServer, render_text_status
-from fabmon.wire import connect_memory
+from fabmon.wire import TcpWireServer, connect_memory, tcp_dial
 from golden_fixtures import fixed_snapshot
 
 P = ResourcePath.parse
@@ -129,7 +129,7 @@ class TestHttp:
         colocated, _, _ = stack
         standalone = SurfaceServer(SurfaceConfig(
             snapshot_dir=str(tmp_path), host="127.0.0.1", port=0,
-            extra={"directory_http": colocated.endpoint})).start()
+            directory_http=colocated.endpoint)).start()
         try:
             status, body = _get(standalone.endpoint, "/registry")
             assert status == 200
@@ -191,6 +191,33 @@ def _cli(*args, **kwargs):
         capture_output=True, text=True, timeout=120, **kwargs)
 
 
+def _free_ports(n: int) -> list[int]:
+    ports = []
+    for _ in range(n):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            ports.append(s.getsockname()[1])
+    return ports
+
+
+def _sigterm_after(args: list[str], ready) -> tuple[int, bytes]:
+    """Start a CLI daemon, SIGTERM it once ready() holds; (exit code, stderr)."""
+    proc = subprocess.Popen([sys.executable, "-m", "fabmon.surface.cli", *args],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not ready():
+            assert proc.poll() is None and time.monotonic() < deadline, "never ready"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    return proc.returncode, stderr
+
+
 class TestCli:
     def test_unknown_subcommand_exits_2(self):
         proc = _cli("frobnicate")
@@ -229,34 +256,40 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_directory_stops_cleanly_on_sigterm(self, tmp_path):
-        ports = []
-        for _ in range(2):
-            with socket.socket() as s:
-                s.bind(("127.0.0.1", 0))
-                ports.append(s.getsockname()[1])
+        ports = _free_ports(2)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"endpoints": {
             "directory": f"127.0.0.1:{ports[0]}", "directory_http": f"127.0.0.1:{ports[1]}"}}))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "fabmon.surface.cli", "directory", "run",
-             "--config", str(config)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+        def listening() -> bool:
+            try:
+                socket.create_connection(("127.0.0.1", ports[0]), timeout=1).close()
+                return True
+            except OSError:
+                return False
+
+        code, stderr = _sigterm_after(["directory", "run", "--config", str(config)], listening)
+        assert code == 0, stderr
+
+    def test_importer_deregisters_on_sigterm(self, tmp_path):
+        directory = DirectoryService(SystemClock(), tcp_dial, name="dir")
+        wire = TcpWireServer(directory.server).start()
+        endpoint = f"127.0.0.1:{_free_ports(1)[0]}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "endpoints": {"directory": wire.endpoint},
+            "importer": {"store": "memory", "listen": endpoint, "subtrees": ["bnl", "uta"],
+                         "registration_ttl_s": 120}}))
         try:
-            deadline = time.monotonic() + 30
-            while True:
-                assert proc.poll() is None and time.monotonic() < deadline, "never listened"
-                try:
-                    socket.create_connection(("127.0.0.1", ports[0]), timeout=1).close()
-                    break
-                except OSError:
-                    time.sleep(0.05)
-            proc.send_signal(signal.SIGTERM)
-            _, stderr = proc.communicate(timeout=30)
+            code, stderr = _sigterm_after(
+                ["importer", "run", "--config", str(config)],
+                lambda: len(directory.registry_dump()) == 2)
+            assert code == 0, stderr
+            # gone at once, not when the 120 s lease runs out
+            assert directory.registry_dump() == []
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert proc.returncode == 0, stderr
+            wire.stop()
+            directory.close()
 
     def test_query_against_unreachable_directory_exits_1(self):
         proc = _cli("query", "latest", "bnl/farm/n1", "cpu.load1",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -20,12 +21,13 @@ from fabmon.wire import (
     WireHandler,
     WireServer,
     connect_memory,
-    decode_message,
     decode_sample,
     encode_message,
     encode_sample,
 )
-from fabmon.wire.codec import decode_wire_line
+from fabmon.wire.codec import decode_wire_line, sample_to_obj
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestSampleCodec:
@@ -79,38 +81,34 @@ class TestSampleCodec:
 
 
 def messages() -> st.SearchStrategy[Message]:
-    sample_obj = st.builds(
-        lambda s: {"t": s.timestamp, "p": str(s.path), "m": s.metric,
-                   "v": s.value, "ttl": s.ttl},
-        samples(),
-    )
+    """Every message kind with typed bodies: ResourcePath and MetricSample values."""
     cid = st.integers(min_value=0, max_value=2**63 - 1)
     metric_or_star = st.one_of(st.just("*"), tokens())
-    path_text = st.builds(str, paths())
+    path = paths()
     return st.one_of(
         st.builds(lambda c, r, n: Message("HELLO", c, {"role": r, "name": n}),
                   cid, st.sampled_from(["producer", "consumer"]), st.text(max_size=16)),
         st.builds(lambda c, p, m, e: Message("SUBSCRIBE", c,
                                              {"prefix": p, "metric": m, "expires": e}),
-                  cid, path_text, metric_or_star, st.integers(0, 2**53)),
+                  cid, path, metric_or_star, st.integers(0, 2**53)),
         st.builds(lambda c, p, m: Message("UNSUBSCRIBE", c, {"prefix": p, "metric": m}),
-                  cid, path_text, metric_or_star),
+                  cid, path, metric_or_star),
         st.builds(lambda c, p, m: Message("QUERY_LATEST", c, {"path": p, "metric": m}),
-                  cid, path_text, tokens()),
+                  cid, path, tokens()),
         st.builds(lambda c, p, m, t0, t1: Message("QUERY_RANGE", c,
                                                   {"path": p, "metric": m, "t0": t0, "t1": t1}),
-                  cid, path_text, tokens(), st.integers(0, 2**53), st.integers(0, 2**53)),
+                  cid, path, tokens(), st.integers(0, 2**53), st.integers(0, 2**53)),
         st.builds(lambda c, p, k, e, t: Message("REGISTER", c,
                                                 {"subtree": p, "kind": k, "endpoint": e, "ttl": t}),
-                  cid, path_text, st.sampled_from(["agent", "archive", "directory"]),
+                  cid, path, st.sampled_from(["agent", "archive", "directory"]),
                   st.text(max_size=24), st.integers(5, 86400)),
         st.builds(lambda c, p, e: Message("DEREGISTER", c, {"subtree": p, "endpoint": e}),
-                  cid, path_text, st.text(max_size=24)),
+                  cid, path, st.text(max_size=24)),
         st.builds(lambda c, s: Message("REPLY", c, {"sample": s, "stale": False,
                                                     "source": "upstream"}),
-                  cid, sample_obj),
+                  cid, samples()),
         st.builds(lambda c, lst: Message("REPLY", c, {"samples": lst}),
-                  cid, st.lists(sample_obj, max_size=4)),
+                  cid, st.lists(samples(), max_size=4)),
         st.builds(lambda c, e: Message("REPLY", c, {"expires_at": e}), cid, st.integers(0, 2**53)),
         st.builds(lambda c, code, msg: Message("ERROR", c, {"code": code, "message": msg}),
                   st.one_of(st.none(), cid), tokens(), st.text(max_size=40)),
@@ -121,33 +119,100 @@ class TestMessageCodec:
     @given(messages())
     @settings(max_examples=300)
     def test_round_trip(self, msg):
-        assert decode_message(encode_message(msg)) == msg
+        assert decode_wire_line(encode_message(msg)) == msg
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaViolation):
-            decode_message(b'{"k":"NOPE","cid":1}\n')
+            decode_wire_line(b'{"k":"NOPE","cid":1}\n')
 
     def test_sample_kind_is_reserved(self):
         with pytest.raises(SchemaViolation):
-            decode_message(b'{"k":"SAMPLE","cid":1}\n')
+            decode_wire_line(b'{"k":"SAMPLE","cid":1}\n')
 
     def test_missing_required_field(self):
         with pytest.raises(SchemaViolation):
-            decode_message(b'{"k":"REGISTER","cid":1,"subtree":"a","kind":"agent","ttl":60}\n')
+            decode_wire_line(b'{"k":"REGISTER","cid":1,"subtree":"a","kind":"agent","ttl":60}\n')
 
     def test_unknown_field(self):
         with pytest.raises(SchemaViolation):
-            decode_message(b'{"k":"HELLO","cid":1,"name":"x","bogus":1}\n')
+            decode_wire_line(b'{"k":"HELLO","cid":1,"name":"x","bogus":1}\n')
 
     def test_cid_required(self):
         with pytest.raises(SchemaViolation):
-            decode_message(b'{"k":"HELLO","name":"x"}\n')
+            decode_wire_line(b'{"k":"HELLO","name":"x"}\n')
         with pytest.raises(SchemaViolation):
-            decode_message(b'{"k":"QUERY_LATEST","cid":null,"path":"a","metric":"m"}\n')
+            decode_wire_line(b'{"k":"QUERY_LATEST","cid":null,"path":"a","metric":"m"}\n')
 
     def test_wire_line_classification(self):
         assert isinstance(decode_wire_line(encode_sample(make_sample())), MetricSample)
         assert decode_wire_line(b'{"k":"ERROR","cid":null,"code":"x","message":""}\n').kind == "ERROR"
+
+    def test_control_message_golden_bytes(self):
+        with open(os.path.join(GOLDEN, "messages.jsonl"), "rb") as fh:
+            golden = fh.read().splitlines(True)
+        assert len(golden) == len(GOLDEN_MESSAGES)
+        for msg, line in zip(GOLDEN_MESSAGES, golden):
+            assert encode_message(msg) == line
+            assert decode_wire_line(line) == msg
+
+    @pytest.mark.parametrize("line", [
+        b'{"k":"QUERY_LATEST","cid":1,"path":"a//b","metric":"m"}\n',
+        b'{"k":"QUERY_LATEST","cid":1,"path":5,"metric":"m"}\n',
+        b'{"k":"QUERY_LATEST","cid":1,"path":"a","metric":"M M"}\n',
+        b'{"k":"SUBSCRIBE","cid":1,"prefix":"a","metric":"*","expires":true}\n',
+        b'{"k":"HELLO","cid":1,"role":"boss","name":"x"}\n',
+        b'{"k":"REGISTER","cid":1,"subtree":"a","kind":"oracle","endpoint":"e","ttl":60}\n',
+        b'{"k":"REPLY","cid":1,"sample":{"t":1,"p":"a","m":"m","v":true,"ttl":1}}\n',
+        b'{"k":"REPLY","cid":1,"sample":[1]}\n',
+        b'{"k":"REPLY","cid":1,"samples":[{"t":1,"p":"a","m":"m","v":1}]}\n',
+        b'{"k":"REPLY","cid":1,"samples":[7]}\n',
+        b'{"k":"REPLY","cid":1,"samples":{}}\n',
+        b'{"k":"REPLY","cid":1,"stale":1}\n',
+    ])
+    def test_field_rejections(self, line):
+        with pytest.raises(SchemaViolation):
+            decode_wire_line(line)
+
+    def test_encode_takes_domain_values_only(self):
+        with pytest.raises(TypeError):
+            encode_message(Message("QUERY_LATEST", 1, {"path": "a/b", "metric": "m"}))
+        with pytest.raises(TypeError):
+            encode_message(Message("REPLY", 1, {"sample": sample_to_obj(make_sample())}))
+        with pytest.raises(TypeError):
+            encode_message(Message("REPLY", 1, {"samples": [sample_to_obj(make_sample())]}))
+
+    def test_encode_checks_kind_and_field_names(self):
+        with pytest.raises(ValueError):
+            encode_message(Message("NOPE", 1, {}))
+        with pytest.raises(ValueError):
+            encode_message(Message("HELLO", 1, {"name": "x", "bogus": 1}))
+        with pytest.raises(ValueError):
+            encode_message(Message("DEREGISTER", 1, {"endpoint": "x"}))
+
+    def test_encode_rejects_non_finite_values(self):
+        with pytest.raises(ValueError):
+            encode_sample(make_sample(value=float("nan")))
+        with pytest.raises(ValueError):
+            encode_message(Message("REPLY", 1, {"samples": [make_sample(value=float("inf"))]}))
+
+
+# the messages behind tests/golden/messages.jsonl, line by line
+_G_PATH = ResourcePath.parse("bnl/farm/n1")
+_G_SAMPLES = [
+    MetricSample(_G_PATH, "cpu.load1", 1600000000000, 0.5, 60),
+    MetricSample(_G_PATH, "cpu.load1", 1600000030000, 1, 60),
+    MetricSample(_G_PATH, "cpu.load1", 1600000060000, "up 14 days", 60),
+]
+GOLDEN_MESSAGES = [
+    Message("HELLO", 1, {"role": "consumer", "name": "probe"}),
+    Message("QUERY_LATEST", 7, {"path": _G_PATH, "metric": "cpu.load1", "hops": 2}),
+    Message("QUERY_RANGE", 8, {"path": ResourcePath.parse("bnl/farm"), "metric": "cpu.load1",
+                               "t0": 1600000000000, "t1": 1600000060000}),
+    Message("REPLY", 7, {"sample": _G_SAMPLES[0], "stale": True, "source": "cache"}),
+    Message("REPLY", 8, {"samples": _G_SAMPLES}),
+    Message("REPLY", 9, {"expires_at": 1600000120000}),
+    Message("ERROR", None, {"code": "malformed_record", "message": "bad record line: ü"}),
+]
 
 
 class _StoreHandler(WireHandler):
@@ -186,7 +251,7 @@ class TestSession:
         server, _ = _mem_pair()
         channel = connect_memory(server)
         channel.send(encode_sample(make_sample()))
-        reply = decode_message(channel.recv())
+        reply = decode_wire_line(channel.recv())
         assert reply.kind == "ERROR" and reply.body["code"] == "protocol_violation"
         assert channel.closed
 
@@ -196,7 +261,7 @@ class TestSession:
         channel.send(encode_message(Message("HELLO", 1, {"role": "producer", "name": "x"})))
         channel.recv()
         channel.send(encode_message(Message("HELLO", 2, {"role": "producer", "name": "x"})))
-        reply = decode_message(channel.recv())
+        reply = decode_wire_line(channel.recv())
         assert reply.body["code"] == "protocol_violation"
 
     def test_consumer_cannot_publish(self):
@@ -205,7 +270,7 @@ class TestSession:
         channel.send(encode_message(Message("HELLO", 1, {"role": "consumer", "name": "x"})))
         channel.recv()
         channel.send(encode_sample(make_sample()))
-        assert decode_message(channel.recv()).body["code"] == "protocol_violation"
+        assert decode_wire_line(channel.recv()).body["code"] == "protocol_violation"
         assert channel.closed
 
     def test_producer_cannot_query(self):
@@ -214,8 +279,8 @@ class TestSession:
         channel.send(encode_message(Message("HELLO", 1, {"role": "producer", "name": "x"})))
         channel.recv()
         channel.send(encode_message(
-            Message("QUERY_LATEST", 2, {"path": "a", "metric": "m"})))
-        assert decode_message(channel.recv()).body["code"] == "protocol_violation"
+            Message("QUERY_LATEST", 2, {"path": ResourcePath.parse("a"), "metric": "m"})))
+        assert decode_wire_line(channel.recv()).body["code"] == "protocol_violation"
 
     def test_publish_and_query_interleave(self):
         handler = _StoreHandler()
@@ -249,11 +314,12 @@ class TestSession:
         server, _ = _mem_pair(handler)
         channel = connect_memory(server)
         channel.send(encode_message(Message("HELLO", 1, {"role": "consumer", "name": "x"})))
+        a, ab = ResourcePath.parse("a"), ResourcePath.parse("a/b")
         requests = [
-            Message("SUBSCRIBE", 2, {"prefix": "a", "metric": "*", "expires": 10}),
-            Message("QUERY_LATEST", 3, {"path": "a/b", "metric": "m"}),
-            Message("QUERY_RANGE", 4, {"path": "a/b", "metric": "m", "t0": 0, "t1": 1}),
-            Message("UNSUBSCRIBE", 5, {"prefix": "a", "metric": "*"}),
+            Message("SUBSCRIBE", 2, {"prefix": a, "metric": "*", "expires": 10}),
+            Message("QUERY_LATEST", 3, {"path": ab, "metric": "m"}),
+            Message("QUERY_RANGE", 4, {"path": ab, "metric": "m", "t0": 0, "t1": 1}),
+            Message("UNSUBSCRIBE", 5, {"prefix": a, "metric": "*"}),
         ]
         for m in requests:
             channel.send(encode_message(m))
@@ -262,7 +328,7 @@ class TestSession:
             line = channel.recv(timeout=0)
             if line is None:
                 break
-            replies.append(decode_message(line))
+            replies.append(decode_wire_line(line))
         hello, rest = replies[0], replies[1:]
         assert hello.kind == "HELLO" and hello.cid == 1
         assert len(rest) == len(requests)
@@ -348,3 +414,29 @@ class TestRequestErrors:
 
     def test_protocol_violation_exception_type(self):
         assert issubclass(ProtocolViolation, RuntimeError)
+
+
+class TestDecodeOnce:
+    def test_range_reply_builds_one_sample_per_sample(self, clock, monkeypatch):
+        # encode serializes the handler's samples as they are; only the
+        # client's decode of the REPLY line builds MetricSamples
+        history = [make_sample(ts=EPOCH_MS + i * 30_000, value=float(i)) for i in range(12)]
+
+        class Ranged(WireHandler):
+            def on_query_range(self, path, metric, t0, t1, hops):
+                return history
+
+        client = WireClient(connect_memory(WireServer(Ranged(), clock)),
+                            role="consumer", name="c")
+        built = []
+        post_init = MetricSample.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MetricSample, "__post_init__", counting)
+        got = client.query_range(ResourcePath.parse("bnl/farm/n1"), "cpu.load1", 0, 1 << 62)
+        monkeypatch.undo()
+        assert got == history
+        assert len(built) == 12
