@@ -10,8 +10,10 @@ wire, so the archive can be grepped, shipped or replayed with nothing but a
 text tool. Samples the retention sweep derives are kept apart in
 <YYYYMMDD>.dseg files in the same directory.
 
-Appends go through an in-memory mirror (for dedup, latest and range answers)
-and are flushed line-by-line, so a crash costs at most the trailing partial
+Appends go through an in-memory mirror (for dedup, latest and range answers).
+Each accepted sample is one open, one O_APPEND write of its line and one
+close, so no segment file stays open between appends (`ulimit -n` need not
+grow with the series count) and a crash costs at most the trailing partial
 line, which reopening discards.
 """
 
@@ -19,10 +21,9 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import OrderedDict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from fabmon.core import MetricSample, ResourcePath
 from fabmon.wire.codec import MalformedRecord, SchemaViolation, decode_sample, encode_sample
@@ -30,16 +31,17 @@ from fabmon.archive.store import AppendResult, Key, MemoryStore, TelemetryStore,
 
 log = logging.getLogger(__name__)
 
-_MAX_OPEN_FILES = 128
+_DAY_MS = 86_400_000
+_SUFFIXES = (".seg", ".dseg")  # indexed by "derived"
 
 
 def day_bucket(ts_ms: int) -> str:
     return datetime.fromtimestamp(ts_ms // 1000, tz=timezone.utc).strftime("%Y%m%d")
 
 
-def _series_dir(root: Path, key: Key) -> Path:
+def _series_dir(root: Path, key: Key) -> str:
     path_text, metric = key
-    return root / path_text.replace("/", "~") / metric
+    return os.path.join(root, path_text.replace("/", "~"), metric)
 
 
 class FileSegmentStore(TelemetryStore):
@@ -47,20 +49,23 @@ class FileSegmentStore(TelemetryStore):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._mirror = MemoryStore()
-        self._handles: OrderedDict[Path, IO[bytes]] = OrderedDict()
+        # series key -> (UTC day number, "<series dir>/<YYYYMMDD>") of its last write
+        self._stems: dict[Key, tuple[int, str]] = {}
         self._load()
 
     # -- startup scan ------------------------------------------------------
 
     def _load(self) -> None:
-        seg_files = sorted(
-            p for p in self.root.rglob("*") if p.suffix in (".seg", ".dseg") and p.is_file()
-        )
-        for seg in seg_files:
-            self._load_segment(seg, derived=seg.suffix == ".dseg")
+        segs = []
+        for dirpath, _dirs, files in os.walk(self.root):
+            segs.extend(os.path.join(dirpath, f) for f in files if f.endswith(_SUFFIXES))
+        # path-component order, the order sorted() gives the same paths as Path objects
+        for seg in sorted(segs, key=lambda p: p.split(os.sep)):
+            self._load_segment(seg, derived=seg.endswith(".dseg"))
 
-    def _load_segment(self, seg: Path, derived: bool) -> None:
-        data = seg.read_bytes()
+    def _load_segment(self, seg: str, derived: bool) -> None:
+        with open(seg, "rb") as fh:
+            data = fh.read()
         if not data:
             return
         lines = data.split(b"\n")
@@ -83,32 +88,30 @@ class FileSegmentStore(TelemetryStore):
 
     # -- file plumbing -----------------------------------------------------
 
-    def _segment_path(self, sample: MetricSample, derived: bool) -> Path:
-        suffix = ".dseg" if derived else ".seg"
-        return _series_dir(self.root, sample_key(sample)) / (day_bucket(sample.timestamp) + suffix)
-
-    def _handle(self, path: Path) -> IO[bytes]:
-        fh = self._handles.get(path)
-        if fh is not None:
-            self._handles.move_to_end(path)
-            return fh
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "ab")
-        self._handles[path] = fh
-        if len(self._handles) > _MAX_OPEN_FILES:
-            _, old = self._handles.popitem(last=False)
-            old.close()
-        return fh
-
-    def _drop_handle(self, path: Path) -> None:
-        fh = self._handles.pop(path, None)
-        if fh is not None:
-            fh.close()
+    def _stem(self, key: Key, timestamp: int) -> str:
+        """The series' segment path without suffix for this sample's UTC day."""
+        day = timestamp // _DAY_MS
+        known = self._stems.get(key)
+        if known is not None and known[0] == day:
+            return known[1]
+        series_dir = _series_dir(self.root, key)
+        os.makedirs(series_dir, exist_ok=True)
+        stem = os.path.join(series_dir, day_bucket(timestamp))
+        self._stems[key] = (day, stem)
+        return stem
 
     def _write(self, sample: MetricSample, derived: bool) -> None:
-        fh = self._handle(self._segment_path(sample, derived))
-        fh.write(encode_sample(sample))
-        fh.flush()
+        name = self._stem(sample_key(sample), sample.timestamp) + _SUFFIXES[derived]
+        line = encode_sample(sample)
+        try:
+            fh = open(name, "ab", buffering=0)
+        except FileNotFoundError:  # the series directory was removed behind our back
+            os.makedirs(os.path.dirname(name), exist_ok=True)
+            fh = open(name, "ab", buffering=0)
+        with fh:
+            written = fh.write(line)
+        if written != len(line):
+            raise OSError(f"short write to {name}: {written} of {len(line)} bytes")
 
     # -- TelemetryStore ----------------------------------------------------
 
@@ -146,37 +149,19 @@ class FileSegmentStore(TelemetryStore):
     def _rewrite_series(self, key: Key) -> None:
         """Regenerate every segment of one series from the mirror."""
         series_dir = _series_dir(self.root, key)
-        if not series_dir.exists():
+        if not os.path.isdir(series_dir):
             return
         path = ResourcePath.parse(key[0])
         survivors = self._mirror.range(path, key[1], 1, 1 << 62)
-        by_file: dict[Path, list[MetricSample]] = {}
+        by_file: dict[str, list[MetricSample]] = {}
         for s in survivors:
             derived = self._mirror.is_derived(path, key[1], s.timestamp)
-            by_file.setdefault(self._segment_path(s, derived), []).append(s)
-        for seg in list(series_dir.iterdir()):
-            if seg.suffix not in (".seg", ".dseg"):
-                continue
-            self._drop_handle(seg)
-            keep = by_file.pop(seg, None)
-            if keep is None:
-                seg.unlink()
-                continue
-            tmp = seg.with_suffix(seg.suffix + ".tmp")
-            with open(tmp, "wb") as fh:
-                for s in keep:
-                    fh.write(encode_sample(s))
-            os.replace(tmp, seg)
-        for seg, keep in by_file.items():  # pragma: no cover - defensive
-            with open(seg, "wb") as fh:
-                for s in keep:
-                    fh.write(encode_sample(s))
-
-    def flush(self) -> None:
-        for fh in self._handles.values():
-            fh.flush()
-
-    def close(self) -> None:
-        for fh in self._handles.values():
-            fh.close()
-        self._handles.clear()
+            by_file.setdefault(day_bucket(s.timestamp) + _SUFFIXES[derived], []).append(s)
+        for name in os.listdir(series_dir):
+            if name.endswith(_SUFFIXES) and name not in by_file:
+                os.unlink(os.path.join(series_dir, name))
+        for name, keep in by_file.items():
+            seg = os.path.join(series_dir, name)
+            with open(seg + ".tmp", "wb") as fh:
+                fh.write(b"".join(encode_sample(s) for s in keep))
+            os.replace(seg + ".tmp", seg)

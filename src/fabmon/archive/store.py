@@ -115,7 +115,9 @@ class MemoryStore(TelemetryStore):
     def _append(self, sample: MetricSample, derived: bool) -> AppendResult:
         key = sample_key(sample)
         with self._lock:
-            series = self._series.setdefault(key, _Series())
+            series = self._series.get(key)
+            if series is None:  # not setdefault: that builds a _Series per call
+                series = self._series[key] = _Series()
             existing = series.by_ts.get(sample.timestamp)
             if existing is not None:
                 return AppendResult.DUPLICATE if existing == sample else AppendResult.CONFLICT

@@ -2,8 +2,9 @@
 
 One snapshot summarizes one probe cycle: per-site rollups, per-host steps
 and the dynamic display values. snapshot.json is written via temp file +
-rename so an HTTP server never sees a torn file; the previous snapshot is
-kept as snapshot.prev.json; transcripts go to transcripts/<host>/<cycle>.txt.
+rename so an HTTP server never sees a torn or missing file; the previous
+snapshot is kept as snapshot.prev.json; transcripts go to
+transcripts/<host>/<cycle>.txt before the snapshot that references them.
 
 The JSON serialization is canonical (sorted keys, fixed indentation), so a
 snapshot built from the same inputs is byte-identical every time.
@@ -105,7 +106,8 @@ def verify_rollups(snapshot_dict: dict) -> list[str]:
 
 
 def publish_snapshot(snapshot: Snapshot, out_dir: str | Path) -> list[Path]:
-    """Write snapshot.json atomically plus per-host transcripts; rotate prev."""
+    """Write transcripts, hard-link the current snapshot.json to prev, then
+    rename the new one over it: snapshot.json is never missing."""
     out = Path(out_dir)
     current = out / "snapshot.json"
     previous = out / "snapshot.prev.json"
@@ -114,11 +116,6 @@ def publish_snapshot(snapshot: Snapshot, out_dir: str | Path) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
         tmp = out / "snapshot.json.tmp"
         tmp.write_bytes(snapshot_bytes(snapshot.to_dict()))
-        if current.exists():
-            os.replace(current, previous)
-            written.append(previous)
-        os.replace(tmp, current)
-        written.append(current)
         for sr in snapshot.sites:
             for hr in sr.hosts:
                 ref = out / transcript_ref(str(hr.host), snapshot.cycle)
@@ -129,6 +126,14 @@ def publish_snapshot(snapshot: Snapshot, out_dir: str | Path) -> list[Path]:
                     lines.extend(st.transcript)
                 ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 written.append(ref)
+        if current.exists():
+            prev_tmp = out / "snapshot.prev.json.tmp"
+            prev_tmp.unlink(missing_ok=True)
+            os.link(current, prev_tmp)
+            os.replace(prev_tmp, previous)
+            written.append(previous)
+        os.replace(tmp, current)
+        written.append(current)
     except OSError as exc:
         raise IoFailure(f"cannot publish snapshot to {out}: {exc}") from exc
     return written

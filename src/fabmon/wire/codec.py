@@ -55,12 +55,13 @@ def _loads(line: bytes) -> dict:
     return obj
 
 
+# built once: json.dumps with non-default arguments builds an encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def _dumps(obj: dict) -> bytes:
     """One line, trailing newline included; non-finite numbers raise ValueError."""
-    return (
-        json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
-        + b"\n"
-    )
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 def _path(value: Any) -> ResourcePath:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import random
+import shutil
 
 import pytest
 
@@ -202,6 +204,53 @@ class TestFileStoreDurability:
         store.close()
         seg = root / "bnl~farm~n1" / "cpu.load1" / "20200913.seg"
         assert seg.exists()
+        assert seg.read_bytes() == encode_sample(s)
+
+
+class TestFileStoreAppend:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_each_line_on_disk_and_no_segment_held_open(self, tmp_path):
+        root = tmp_path / "t"
+        store = FileSegmentStore(root)
+        for r in range(2):
+            for i in range(300):
+                s = make_sample(path=f"s/f/n{i}", metric="m1", ts=EPOCH_MS + r * 1000, value=i)
+                store.append(s)
+                seg = root / f"s~f~n{i}" / "m1" / "20200913.seg"
+                assert seg.read_bytes().endswith(encode_sample(s))
+        held = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:  # the listing's own descriptor is gone by now
+                continue
+            if target.startswith(str(root)):
+                held.append(target)
+        assert held == []
+
+    def test_day_rollover_and_late_sample(self, tmp_path):
+        root = tmp_path / "t"
+        store = FileSegmentStore(root)
+        midnight = 1_600_041_600_000  # 2020-09-14T00:00:00Z
+        before = make_sample(ts=midnight - 1, value=1.0)
+        after = make_sample(ts=midnight, value=2.0)
+        late = make_sample(ts=midnight - HOUR, value=3.0)
+        for s in (before, after, late):
+            assert store.append(s) is AppendResult.OK
+        series = root / "bnl~farm~n1" / "cpu.load1"
+        assert (series / "20200913.seg").read_bytes() == encode_sample(before) + encode_sample(late)
+        assert (series / "20200914.seg").read_bytes() == encode_sample(after)
+        reopened = FileSegmentStore(root)
+        assert reopened.range(PATH, "cpu.load1", 1, 2**60) == [late, before, after]
+
+    def test_series_directory_removed_behind_the_store(self, tmp_path):
+        root = tmp_path / "t"
+        store = FileSegmentStore(root)
+        store.append(make_sample(ts=EPOCH_MS, value=1.0))
+        shutil.rmtree(root / "bnl~farm~n1")
+        s = make_sample(ts=EPOCH_MS + 1000, value=2.0)
+        assert store.append(s) is AppendResult.OK
+        seg = root / "bnl~farm~n1" / "cpu.load1" / "20200913.seg"
         assert seg.read_bytes() == encode_sample(s)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import EPOCH_MS, make_sample, paths
 from fabmon.core import (
+    PARSE_CACHE_SIZE,
     MalformedPath,
     MetricDescriptor,
     MetricSample,
@@ -49,6 +50,24 @@ class TestResourcePath:
         assert ResourcePath.parse("a/b").is_prefix_of(ResourcePath.parse("a/b/c"))
         assert not ResourcePath.parse("a/b").is_prefix_of(ResourcePath.parse("a/bc"))
         assert not ResourcePath.parse("a/b/c").is_prefix_of(ResourcePath.parse("a/b"))
+
+
+class TestParseInterning:
+    def test_one_instance_per_text(self):
+        assert ResourcePath.parse("bnl/farm/n7") is ResourcePath.parse("bnl/farm/n7")
+
+    def test_case_variants_are_equal(self):
+        assert ResourcePath.parse("A/b") == ResourcePath.parse("a/b")
+
+    def test_malformed_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(MalformedPath):
+                ResourcePath.parse("a//b")
+
+    def test_cache_is_bounded(self):
+        for i in range(PARSE_CACHE_SIZE + 100):
+            ResourcePath.parse(f"bound/n{i}")
+        assert ResourcePath.parse.cache_info().currsize <= PARSE_CACHE_SIZE
 
 
 class TestStatus:

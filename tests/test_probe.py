@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -323,6 +324,39 @@ class TestPublish:
             publish_snapshot(fixed_snapshot(), tmp_path)
         assert (tmp_path / "snapshot.json").read_bytes() == before
         assert not (tmp_path / "snapshot.prev.json").exists()
+
+    def test_reader_never_sees_snapshot_missing(self, tmp_path):
+        publish_snapshot(fixed_snapshot(), tmp_path)
+        stop = threading.Event()
+        reads, faults = [], []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    doc = json.loads((tmp_path / "snapshot.json").read_bytes())
+                except FileNotFoundError:
+                    faults.append("snapshot.json missing")
+                    continue
+                reads.append(doc["cycle"])
+                for site in doc["sites"]:
+                    for host in site["hosts"]:
+                        for step in host["steps"]:
+                            if not (tmp_path / step["transcript_ref"]).exists():
+                                faults.append(f"missing {step['transcript_ref']}")
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for cycle in range(8, 208):
+                snap = fixed_snapshot()
+                snap.cycle = cycle
+                publish_snapshot(snap, tmp_path)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert reads and faults == []
+        assert json.loads((tmp_path / "snapshot.prev.json").read_bytes())["cycle"] == 206
 
     def test_serialization_is_stable(self):
         a = snapshot_bytes(fixed_snapshot().to_dict())

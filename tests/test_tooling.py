@@ -25,6 +25,15 @@ line = codec.encode_sample(MetricSample(ResourcePath.parse("a/b"), "m", 1, 0.5, 
 codec.decode_wire_line(line)
 names = tracer.aggregate()["spans"]
 assert names["wire.codec.encode"][0] == 1 and names["wire.codec.decode"][0] == 1, names
+
+# archive.filestore.opens_per_append counts opens made through the file
+# store's module-global open(); an append that bypassed it would read 0.
+import tempfile
+from fabmon.archive.filestore import FileSegmentStore
+with tempfile.TemporaryDirectory() as root:
+    FileSegmentStore(root).append(MetricSample(ResourcePath.parse("a/b"), "m", 2, 0.5, 60))
+parents = tracer.aggregate()["parents"]
+assert parents.get("archive.filestore.open<archive.filestore.append") == 1, parents
 """
 
 
