@@ -98,7 +98,8 @@ class Agent(WireHandler):
         self.dial = dial
         self.counters = AgentCounters()
         self.ledger = OverheadLedger(clock, cpu_time_ms)
-        self.schedule = SensorSchedule(config.sensors, clock.now(), config.seed)
+        self.schedule = SensorSchedule(config.sensors, clock.now(), config.seed,
+                                       host=str(config.host_path))
         self.spool = SpoolRing(config.spool_capacity)
         self.server = WireServer(self, clock, name=f"agent:{config.host_path}")
         self._specs = {s.id: s for s in config.sensors}

@@ -15,6 +15,13 @@ Each accepted sample is one open, one O_APPEND write of its line and one
 close, so no segment file stays open between appends (`ulimit -n` need not
 grow with the series count) and a crash costs at most the trailing partial
 line, which reopening discards.
+
+The mirror is a MemoryStore holding every archived sample: per series, one
+timestamp list and one sample list, both sorted, plus the derived
+timestamps. Samples and paths are slotted, paths and metric names are shared
+between samples, so a reopened archive costs about 165 bytes of RAM per
+sample (tracemalloc, 5500 series, 173,185 samples), where a per-sample
+__dict__, a per-series timestamp dict and a metric str per sample cost 294.
 """
 
 from __future__ import annotations

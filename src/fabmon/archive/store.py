@@ -99,12 +99,13 @@ def check_range(t0: int, t1: int) -> None:
         raise InvalidRange(f"t0 {t0} > t1 {t1}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Series:
-    timestamps: list[int] = field(default_factory=list)  # sorted
-    by_ts: dict[int, MetricSample] = field(default_factory=dict)
+    """One series as two parallel lists sorted by timestamp, plus derived timestamps."""
+
+    timestamps: list[int] = field(default_factory=list)
+    samples: list[MetricSample] = field(default_factory=list)
     derived: set[int] = field(default_factory=set)
-    latest_ts: int = 0
 
 
 class MemoryStore(TelemetryStore):
@@ -114,18 +115,24 @@ class MemoryStore(TelemetryStore):
 
     def _append(self, sample: MetricSample, derived: bool) -> AppendResult:
         key = sample_key(sample)
+        ts = sample.timestamp
         with self._lock:
             series = self._series.get(key)
             if series is None:  # not setdefault: that builds a _Series per call
                 series = self._series[key] = _Series()
-            existing = series.by_ts.get(sample.timestamp)
-            if existing is not None:
-                return AppendResult.DUPLICATE if existing == sample else AppendResult.CONFLICT
-            bisect.insort(series.timestamps, sample.timestamp)
-            series.by_ts[sample.timestamp] = sample
+            times = series.timestamps
+            if not times or ts > times[-1]:  # the usual case: newer than the last
+                times.append(ts)
+                series.samples.append(sample)
+            else:
+                i = bisect.bisect_left(times, ts)
+                if times[i] == ts:
+                    existing = series.samples[i]
+                    return AppendResult.DUPLICATE if existing == sample else AppendResult.CONFLICT
+                times.insert(i, ts)
+                series.samples.insert(i, sample)
             if derived:
-                series.derived.add(sample.timestamp)
-            series.latest_ts = max(series.latest_ts, sample.timestamp)
+                series.derived.add(ts)
             return AppendResult.OK
 
     def append(self, sample: MetricSample) -> AppendResult:
@@ -137,9 +144,7 @@ class MemoryStore(TelemetryStore):
     def latest(self, path, metric):
         with self._lock:
             series = self._series.get((str(path), metric))
-            if series is None or not series.timestamps:
-                return None
-            return series.by_ts[series.latest_ts]
+            return None if series is None else series.samples[-1]
 
     def range(self, path, metric, t0, t1):
         check_range(t0, t1)
@@ -148,8 +153,8 @@ class MemoryStore(TelemetryStore):
             if series is None:
                 return []
             lo = bisect.bisect_left(series.timestamps, t0)
-            hi = bisect.bisect_left(series.timestamps, t1)
-            return [series.by_ts[ts] for ts in series.timestamps[lo:hi]]
+            hi = bisect.bisect_left(series.timestamps, t1, lo)
+            return series.samples[lo:hi]
 
     def keys(self):
         with self._lock:
@@ -161,16 +166,18 @@ class MemoryStore(TelemetryStore):
             return series is not None and timestamp in series.derived
 
     def remove(self, path, metric, timestamps):
+        doomed = set(timestamps)
         with self._lock:
             series = self._series.get((str(path), metric))
             if series is None:
                 return 0
-            doomed = {ts for ts in timestamps if ts in series.by_ts}
-            if not doomed:
-                return 0
-            series.timestamps = [ts for ts in series.timestamps if ts not in doomed]
-            for ts in doomed:
-                del series.by_ts[ts]
-                series.derived.discard(ts)
-            series.latest_ts = series.timestamps[-1] if series.timestamps else 0
-            return len(doomed)
+            kept = [(ts, s) for ts, s in zip(series.timestamps, series.samples)
+                    if ts not in doomed]
+            removed = len(series.timestamps) - len(kept)
+            if not kept:  # no key for an emptied series, as after a reopen
+                del self._series[(str(path), metric)]
+            elif removed:
+                series.timestamps = [ts for ts, _ in kept]
+                series.samples = [s for _, s in kept]
+                series.derived -= doomed
+            return removed

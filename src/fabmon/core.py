@@ -35,7 +35,7 @@ class MalformedPath(ValueError):
     """Raised for paths with empty segments, illegal characters or depth > 8."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourcePath:
     """Hierarchical site/cluster/host identity, e.g. bnl/linux-farm/node0042.
 
@@ -127,7 +127,7 @@ class MetricDescriptor:
             raise ValueError("validity_ttl must be >= default_period")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricSample:
     """One time-stamped measurement of one metric at one resource.
 

@@ -159,13 +159,16 @@ def cmd_directory_run(args) -> int:
         freshness_cap_s=sect.get("freshness_cap_s", 300),
     )
     host, port = parse_endpoint(sect.get("listen", eps["directory"]))
-    server = TcpWireServer(service.server, host, port).start()
     admin_host, admin_port = parse_endpoint(sect.get("http", eps["directory_http"]))
-    admin = SurfaceServer(SurfaceConfig(
-        snapshot_dir=cfg.get("surface", {}).get("snapshot_dir", ""),
-        host=admin_host, port=admin_port, directory=service)).start()
-    log.info("directory on %s, http on %s", server.endpoint, admin.endpoint)
+    # the wire port listens before the servers' threads start: a SIGTERM from
+    # then on must still stop cleanly, so start them inside the try
+    server = admin = None
     try:
+        server = TcpWireServer(service.server, host, port).start()
+        admin = SurfaceServer(SurfaceConfig(
+            snapshot_dir=cfg.get("surface", {}).get("snapshot_dir", ""),
+            host=admin_host, port=admin_port, directory=service)).start()
+        log.info("directory on %s, http on %s", server.endpoint, admin.endpoint)
         while True:
             time.sleep(sect.get("sweep_period_s", 30))
             removed = service.sweep()
@@ -174,8 +177,9 @@ def cmd_directory_run(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        admin.stop()
-        server.stop()
+        for started in (admin, server):
+            if started is not None:
+                started.stop()
         service.close()
     return 0
 

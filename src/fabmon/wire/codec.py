@@ -18,11 +18,12 @@ also the only validation: a decoded message carries domain values
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from fabmon.core import MalformedPath, MetricSample, ResourcePath, is_token
+from fabmon.core import PARSE_CACHE_SIZE, MalformedPath, MetricSample, ResourcePath, is_token
 
 
 class MalformedRecord(ValueError):
@@ -43,9 +44,13 @@ def _reject_constant(_value):
     raise MalformedRecord("non-finite numbers are not valid records")
 
 
+# built once: json.loads with non-default arguments builds a decoder per call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _loads(line: bytes) -> dict:
     try:
-        obj = json.loads(line.decode("utf-8"), parse_constant=_reject_constant)
+        obj = _DECODER.decode(line.decode("utf-8"))
     except MalformedRecord:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -73,6 +78,18 @@ def _path(value: Any) -> ResourcePath:
         raise SchemaViolation(f"bad path: {exc}") from None
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _metric(value: Any) -> str:
+    """One shared str per legal metric name, as ResourcePath.parse shares paths.
+
+    Only legal names are cached; anything else raises TypeError (unhashable)
+    or ValueError on every call.
+    """
+    if not is_token(value):
+        raise ValueError(f"illegal metric name {value!r}")
+    return value
+
+
 def sample_to_obj(sample: MetricSample) -> dict:
     return {
         "t": sample.timestamp,
@@ -90,7 +107,7 @@ def sample_from_obj(obj: dict) -> MetricSample:
         raise SchemaViolation(
             f"sample keys off: missing={sorted(_SAMPLE_KEYS - keys)} extra={sorted(keys - _SAMPLE_KEYS)}")
     try:
-        return MetricSample(path=_path(obj["p"]), metric=obj["m"], timestamp=obj["t"],
+        return MetricSample(path=_path(obj["p"]), metric=_metric(obj["m"]), timestamp=obj["t"],
                             value=obj["v"], ttl=obj["ttl"])
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(str(exc)) from None

@@ -86,6 +86,23 @@ class TestSchedule:
         assert trace(7) == trace(7)
         assert trace(7) != trace(8)
 
+    def test_hosts_sharing_a_seed_do_not_sample_in_lockstep(self):
+        # a fleet shares one config, seed included; the host path tells them apart
+        def trace(host):
+            agent = Agent(AgentConfig(host_path=ResourcePath.parse(host),
+                                      sensors=[_synth_spec(period=30, jitter=0.1)],
+                                      importer_endpoint="imp:1", seed=3, synthetic=True),
+                          SimClock(EPOCH_MS), dial=None)
+            out = []
+            for _ in range(20):
+                now = agent.schedule.next_due_time()
+                out.append(now)
+                agent.schedule.mark_run("synth", now)
+            return out
+
+        assert trace("bnl/farm/n1") == trace("bnl/farm/n1")
+        assert trace("bnl/farm/n1") != trace("bnl/farm/n2")
+
 
 class TestSpool:
     def test_drop_oldest(self):

@@ -271,6 +271,28 @@ class TestCli:
         code, stderr = _sigterm_after(["directory", "run", "--config", str(config)], listening)
         assert code == 0, stderr
 
+    def test_directory_sigterm_as_soon_as_it_listens(self, tmp_path):
+        # the wire port listens before the daemon has started its threads
+        for attempt in range(3):
+            ports = _free_ports(2)
+            config = tmp_path / f"config{attempt}.json"
+            config.write_text(json.dumps({"endpoints": {
+                "directory": f"127.0.0.1:{ports[0]}",
+                "directory_http": f"127.0.0.1:{ports[1]}"}}))
+
+            def listening() -> bool:
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    try:
+                        socket.create_connection(("127.0.0.1", ports[0]), timeout=1).close()
+                        return True
+                    except OSError:
+                        pass
+                return False
+
+            code, stderr = _sigterm_after(["directory", "run", "--config", str(config)], listening)
+            assert code == 0, stderr
+
     def test_importer_deregisters_on_sigterm(self, tmp_path):
         directory = DirectoryService(SystemClock(), tcp_dial, name="dir")
         wire = TcpWireServer(directory.server).start()

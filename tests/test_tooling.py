@@ -32,8 +32,13 @@ import tempfile
 from fabmon.archive.filestore import FileSegmentStore
 with tempfile.TemporaryDirectory() as root:
     FileSegmentStore(root).append(MetricSample(ResourcePath.parse("a/b"), "m", 2, 0.5, 60))
-parents = tracer.aggregate()["parents"]
+agg = tracer.aggregate()
+parents = agg["parents"]
 assert parents.get("archive.filestore.open<archive.filestore.append") == 1, parents
+# archive.store.append_us times the file store's in-memory mirror: one
+# file store append is one MemoryStore.append
+assert agg["spans"]["archive.store.append"][0] == 1, agg["spans"]
+assert parents.get("archive.store.append<archive.filestore.append") == 1, parents
 """
 
 

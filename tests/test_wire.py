@@ -440,3 +440,47 @@ class TestDecodeOnce:
         monkeypatch.undo()
         assert got == history
         assert len(built) == 12
+
+
+class TestDecoderBuiltOnce:
+    def test_no_decoder_built_per_line(self, monkeypatch):
+        import json
+
+        built = []
+        init = json.JSONDecoder.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "__init__", counting)
+        sample_line = encode_sample(make_sample())
+        query_line = encode_message(Message("QUERY_LATEST", 7, {
+            "path": ResourcePath.parse("bnl/farm/n1"), "metric": "cpu.load1"}))
+        for _ in range(500):
+            decode_sample(sample_line)
+            decode_wire_line(query_line)
+        monkeypatch.undo()
+        assert built == []
+
+    @pytest.mark.parametrize("line", [
+        b'{"t":1,"p":"a","m":"m","v":NaN,"ttl":1}\n',
+        b'{"t":1,"p":"a","m":"m","v":-Infinity,"ttl":1}\n',
+        b'\xef\xbb\xbf{"t":1,"p":"a","m":"m","v":1,"ttl":1}\n',  # UTF-8 BOM
+        b'{"t":1,"p":"a","m":"m","v":1,"ttl":1} x\n',
+        b'{"t":1,"p":"a","m":"m","v":1,"ttl":1}{}\n',
+        b'"a string"\n',
+        b"null\n",
+        b"\xff\n",
+    ])
+    def test_malformed_lines_still_raise(self, line):
+        for decode in (decode_sample, decode_wire_line):
+            with pytest.raises(MalformedRecord):
+                decode(line)
+
+    @pytest.mark.parametrize("metric", ['"Bad Name"', "5", "true", "[1]", "{}"])
+    def test_bad_metric_raises_on_every_decode(self, metric):
+        line = b'{"t":1,"p":"a","m":%s,"v":1,"ttl":1}\n' % metric.encode()
+        for _ in range(2):
+            with pytest.raises(SchemaViolation):
+                decode_sample(line)
