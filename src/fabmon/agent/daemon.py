@@ -30,8 +30,9 @@ from fabmon.agent.sensors import (
     read_builtin,
 )
 from fabmon.agent.spool import SpoolRing
-from fabmon.wire.client import ConnectionLost, UpstreamError, WireClient
-from fabmon.wire.session import WireHandler, WireServer
+from fabmon.wire.client import UpstreamError, WireClient
+from fabmon.wire.pool import SessionPool, open_session
+from fabmon.wire.session import ProtocolViolation, WireHandler, WireServer
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +108,7 @@ class Agent(WireHandler):
         self._latest: dict[str, MetricSample] = {}
         self._latest_lock = threading.Lock()
         self._client: Optional[WireClient] = None
+        self._directory = SessionPool(dial, "producer", self.server.name)
         self._registered_until = 0
         self._stop = threading.Event()
         # simulation hooks: fault lookup for synthetic reads, produce observer
@@ -193,12 +195,10 @@ class Agent(WireHandler):
         if not self.dial or not self.config.importer_endpoint:
             return None
         try:
-            channel = self.dial(self.config.importer_endpoint)
-            self._client = WireClient(
-                channel, role="producer", name=f"agent:{self.config.host_path}")
-        except (ConnectionError, OSError, TimeoutError, ConnectionLost) as exc:
+            self._client = open_session(
+                self.dial, self.config.importer_endpoint, "producer", self.server.name)
+        except (OSError, ProtocolViolation) as exc:
             log.debug("importer unreachable: %s", exc)
-            self._client = None
         return self._client
 
     def _spool_all(self, samples: list[MetricSample]) -> None:
@@ -218,7 +218,7 @@ class Agent(WireHandler):
             try:
                 client.publish(sample)
                 delivered += 1
-            except (ConnectionLost, ConnectionError, OSError) as exc:
+            except OSError as exc:
                 log.info("publish failed, spooling: %s", exc)
                 self._client = None
                 self._spool_all(pending[i:])
@@ -229,17 +229,18 @@ class Agent(WireHandler):
     # -- registration ---------------------------------------------------------
 
     def _directory_call(self, what: str, call: Callable[[WireClient], int]) -> Optional[int]:
-        """One short producer session to the directory; failures are logged, not raised."""
+        """One pooled call to the directory; failures are logged, not raised.
+
+        The session is closed after each round, not held: a held session per
+        agent would keep one directory handler thread per host busy.
+        """
         try:
-            channel = self.dial(self.config.directory_endpoint)
-            client = WireClient(channel, role="producer", name=f"agent:{self.config.host_path}")
-            try:
-                return call(client)
-            finally:
-                client.close()
-        except (ConnectionError, OSError, TimeoutError, ConnectionLost, UpstreamError) as exc:
+            return self._directory.call(self.config.directory_endpoint, call)
+        except (OSError, ProtocolViolation, UpstreamError) as exc:
             log.info("directory %s failed: %s", what, exc)
             return None
+        finally:
+            self._directory.close()
 
     def _maybe_register(self, now: int) -> None:
         if not self.dial or not self.config.directory_endpoint or not self.config.listen_endpoint:

@@ -9,7 +9,6 @@ on this vocabulary.
 from __future__ import annotations
 
 import functools
-import math
 import re
 import threading
 import time
@@ -133,7 +132,7 @@ class MetricSample:
 
     (path, metric, timestamp) is the identity key used for deduplication
     downstream. Finiteness of numeric values is enforced at the wire
-    boundary and by validate_sample, not at construction.
+    boundary, not at construction.
     """
 
     path: ResourcePath
@@ -164,31 +163,6 @@ class MetricSample:
     @property
     def is_text(self) -> bool:
         return isinstance(self.value, str)
-
-
-@dataclass(frozen=True)
-class SampleViolation:
-    code: str  # kind_mismatch | non_finite_value
-    detail: str
-
-
-def validate_sample(sample: MetricSample, desc: MetricDescriptor) -> list[SampleViolation]:
-    """Stateless checks of a sample against its descriptor; empty list means ok.
-
-    Counter monotonicity is deliberately not checked here (needs history).
-    """
-    if sample.metric != desc.name:
-        raise ValueError(f"sample metric {sample.metric!r} does not match descriptor {desc.name!r}")
-    violations = []
-    if desc.kind == "text":
-        if not isinstance(sample.value, str):
-            violations.append(SampleViolation("kind_mismatch", f"{desc.name} expects text, got {type(sample.value).__name__}"))
-    else:
-        if isinstance(sample.value, str):
-            violations.append(SampleViolation("kind_mismatch", f"{desc.name} expects a number, got text"))
-        elif not math.isfinite(sample.value):
-            violations.append(SampleViolation("non_finite_value", f"{desc.name} value {sample.value!r}"))
-    return violations
 
 
 class Clock:

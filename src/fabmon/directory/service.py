@@ -16,7 +16,8 @@ from typing import Callable, Optional, TypeVar
 
 from fabmon.core import Clock, MetricSample, ResourcePath
 from fabmon.directory.registry import InvalidTTL, Registry
-from fabmon.wire.client import LatestResult, ReplyTimeout, UpstreamError, WireClient
+from fabmon.wire.client import LatestResult, UpstreamError, WireClient
+from fabmon.wire.pool import SessionPool
 from fabmon.wire.session import ProtocolViolation, RequestError, WireHandler, WireServer
 
 log = logging.getLogger(__name__)
@@ -63,7 +64,6 @@ class DirectoryService(WireHandler):
         freshness_cap_s: int = FRESHNESS_CAP_S,
     ):
         self.clock = clock
-        self.dial = dial
         self.registry = Registry()
         self.server = WireServer(self, clock, name=name)
         self.freshness_ttls = dict(freshness_ttls or {})
@@ -72,7 +72,7 @@ class DirectoryService(WireHandler):
         self._cache_lock = threading.Lock()
         self._inflight: dict[tuple[str, str], threading.Event] = {}
         self._local = threading.local()  # keys this thread is already fetching
-        self._idle: dict[str, list[WireClient]] = {}  # endpoint -> idle upstream sessions
+        self.pool = SessionPool(dial, "consumer", name, timeout=UPSTREAM_TIMEOUT_S)
 
     # -- cache -------------------------------------------------------------
 
@@ -95,76 +95,22 @@ class DirectoryService(WireHandler):
 
     # -- upstream sessions ----------------------------------------------------
 
-    def _dial(self, endpoint: str) -> WireClient:
-        try:
-            channel = self.dial(endpoint)
-        except (ConnectionError, OSError, TimeoutError) as exc:
-            raise UpstreamUnreachable(f"dial {endpoint}: {exc}") from exc
-        try:
-            return WireClient(channel, role="consumer", name=self.server.name,
-                              timeout=UPSTREAM_TIMEOUT_S)
-        except (UpstreamError, ConnectionError, OSError, TimeoutError, ProtocolViolation) as exc:
-            channel.close()
-            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-
-    def _checkin(self, endpoint: str, client: WireClient) -> None:
-        with self._cache_lock:
-            self._idle.setdefault(endpoint, []).append(client)
-
-    def _close_idle(self, keep: Callable[[str], bool]) -> None:
-        """Close the idle sessions of every endpoint keep() rejects."""
-        with self._cache_lock:
-            dropped = [e for e in self._idle if not keep(e)]
-            clients = [c for e in dropped for c in self._idle.pop(e)]
-        for client in clients:
-            client.close()
-
     def _fetch(self, endpoint: str, call: Callable[[WireClient], T]) -> T:
-        """Run call on an idle session to endpoint, or on a new one.
-
-        Sessions are checked out, never shared: WireClient serializes its
-        requests, and a federation cycle re-enters here on the same thread.
-        So an endpoint never has more sessions than it once had fetches in
-        flight. A session is returned after any reply, ERROR included. One
-        that fails is closed, since a late reply would put its correlation
-        ids out of step, and so are the endpoint's idle ones. Only when a
-        reused session ended (EOF, reset, failed send) has the upstream
-        likely restarted, and the call is tried once more on a fresh dial;
-        a timeout means a hung upstream, which a redial would wait on again.
-        """
-        with self._cache_lock:
-            idle = self._idle.get(endpoint)
-            client = idle.pop() if idle else None
-        while True:
-            reused = client is not None
-            if not reused:
-                client = self._dial(endpoint)
-            try:
-                result = call(client)
-            except UpstreamError as exc:
-                self._checkin(endpoint, client)
-                if exc.code == "hop_limit":
-                    raise HopLimitExceeded(exc.message) from exc
-                if exc.code == "invalid_range":
-                    raise ValueError(exc.message) from exc
-                raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-            except (ConnectionError, OSError, ProtocolViolation) as exc:
-                client.close()
-                self._close_idle(lambda e: e != endpoint)
-                restarted = not isinstance(exc, (ReplyTimeout, TimeoutError, ProtocolViolation))
-                if reused and restarted:
-                    client = None
-                    continue
-                raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-            except BaseException:  # e.g. an undecodable reply: the session's state is unknown
-                client.close()
-                raise
-            self._checkin(endpoint, client)
-            return result
+        """call on a pooled session to endpoint, with its failures mapped to ours."""
+        try:
+            return self.pool.call(endpoint, call)
+        except UpstreamError as exc:
+            if exc.code == "hop_limit":
+                raise HopLimitExceeded(exc.message) from exc
+            if exc.code == "invalid_range":
+                raise ValueError(exc.message) from exc
+            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
+        except (OSError, ProtocolViolation) as exc:
+            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
 
     def close(self) -> None:
         """Close every idle upstream session."""
-        self._close_idle(lambda e: False)
+        self.pool.close()
 
     # -- queries -------------------------------------------------------------
 
@@ -246,24 +192,12 @@ class DirectoryService(WireHandler):
         return self._fetch(
             entry.endpoint, lambda c: c.query_range(path, metric, t0, t1, hops=next_hops))
 
-    def trigger_probe(self, path: ResourcePath, metric: str) -> MetricSample:
-        """Ask the owning agent directly, bypassing the archive; refills cache."""
-        now = self.clock.now()
-        entry = self.registry.resolve(path, ("agent",), now)
-        if entry is None:
-            raise NoProvider(f"no agent registration covers {path}")
-        result = self._fetch(entry.endpoint, lambda c: c.query_latest(path, metric))
-        if result.sample is None:
-            raise UpstreamUnreachable(f"agent {entry.endpoint} has no sample for {path}/{metric}")
-        self._cache_put((str(path), metric), result.sample, self.clock.now())
-        return result.sample
-
     def sweep(self) -> int:
         """Expire registrations; close idle sessions no live one points at."""
         now = self.clock.now()
         removed = self.registry.sweep(now)
         live = {e.endpoint for e in self.registry.live_entries(now)}
-        self._close_idle(live.__contains__)
+        self.pool.close(keep=live.__contains__)
         return len(removed)
 
     def registry_dump(self) -> list[dict]:
@@ -287,8 +221,6 @@ class DirectoryService(WireHandler):
             return self.registry.register(subtree, kind, endpoint, ttl, self.clock.now())
         except InvalidTTL as exc:
             raise RequestError("invalid_ttl", str(exc)) from None
-
-    on_renew = on_register  # a registration renews in place
 
     def on_deregister(self, subtree, endpoint):
         return self.registry.deregister(subtree, endpoint)

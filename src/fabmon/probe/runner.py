@@ -14,8 +14,8 @@ Built-in step kinds:
 
 from __future__ import annotations
 
-import logging
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,9 +24,9 @@ from typing import Callable, Optional
 from fabmon.core import Clock, MetricSample, ResourcePath, Status, combine_status
 from fabmon.probe.checks import ConsistencyRule, consistency_check
 from fabmon.probe.snapshot import SiteReport, Snapshot
-from fabmon.wire.client import ConnectionLost, LatestResult, UpstreamError, WireClient
-
-log = logging.getLogger(__name__)
+from fabmon.wire.client import LatestResult, UpstreamError
+from fabmon.wire.pool import SessionPool
+from fabmon.wire.session import ProtocolViolation
 
 STEP_KINDS = ("tcp_connect", "directory_query", "consistency", "latest_freshness")
 
@@ -152,36 +152,40 @@ class ProbeRunner:
     ):
         self.config = config
         self.clock = clock
-        self.dial = dial
+        self.pool = SessionPool(dial, "consumer", "probe") if dial else None
         self.prober = prober or TcpProber()
         self.driver = driver or ThreadDriver(config.fanout)
+        self._host = threading.local()  # the host this thread is probing
 
     # -- directory access ---------------------------------------------------
 
-    def _dir_client(self) -> Optional[WireClient]:
-        if not self.dial or not self.config.directory_endpoint:
-            return None
-        try:
-            channel = self.dial(self.config.directory_endpoint)
-            return WireClient(channel, role="consumer", name="probe")
-        except (ConnectionError, OSError, TimeoutError, ConnectionLost) as exc:
-            log.info("directory unreachable: %s", exc)
-            return None
+    def _query_latest(self, path, metric) -> tuple[Optional[LatestResult], str]:
+        """(result, error detail); result None means the query itself failed.
 
-    def _query_latest(self, client, path, metric) -> tuple[Optional[LatestResult], str]:
-        """(result, error detail); result None means the query itself failed."""
-        if client is None:
-            return None, "no directory configured or reachable"
+        Once a query of this host fails on transport, the host's later
+        queries fail with the same detail and do not dial again.
+        """
+        if self.pool is None or not self.config.directory_endpoint:
+            return None, "no directory configured"
+        if self._host.failure:
+            return None, self._host.failure
         try:
-            return client.query_latest(path, metric), ""
+            return self.pool.call(
+                self.config.directory_endpoint, lambda c: c.query_latest(path, metric)), ""
         except UpstreamError as exc:
             return None, f"{exc.code}: {exc.message}"
-        except (ConnectionLost, ConnectionError, OSError, TimeoutError) as exc:
-            return None, str(exc)
+        except (OSError, ProtocolViolation) as exc:
+            self._host.failure = str(exc)
+            return None, self._host.failure
+
+    def close(self) -> None:
+        """Close the held directory sessions."""
+        if self.pool is not None:
+            self.pool.close()
 
     # -- steps ----------------------------------------------------------------
 
-    def _run_step(self, step: StepSpec, host: HostSpec, client, now: int) -> TestStep:
+    def _run_step(self, step: StepSpec, host: HostSpec, now: int) -> TestStep:
         lines: list[str] = []
         hint_ms = 0
 
@@ -199,7 +203,7 @@ class ProbeRunner:
         elif step.kind == "directory_query":
             metric = step.params.get("metric", "cpu.load1")
             expect_present = step.params.get("expect_present", True)
-            result, err = self._query_latest(client, host.path, metric)
+            result, err = self._query_latest(host.path, metric)
             if result is None:
                 status = Status.FAIL
                 lines.append(f"{step.name}: query {host.path}/{metric} failed: {err}")
@@ -220,7 +224,7 @@ class ProbeRunner:
             rules = step.params.get("rules", self.config.rules)
             observed: list[tuple[MetricSample, bool]] = []
             for metric in sorted({r.metric for r in rules}):
-                result, err = self._query_latest(client, host.path, metric)
+                result, err = self._query_latest(host.path, metric)
                 if result is None:
                     lines.append(f"{step.name}: fetch {metric} failed: {err}")
                 elif result.sample is not None:
@@ -237,7 +241,7 @@ class ProbeRunner:
         elif step.kind == "latest_freshness":
             metric = step.params.get("metric", "cpu.load1")
             max_age_s = step.params.get("max_age_s", 300)
-            result, err = self._query_latest(client, host.path, metric)
+            result, err = self._query_latest(host.path, metric)
             if result is None or result.absent:
                 status = Status.FAIL
                 why = err or "no sample at all"
@@ -263,28 +267,23 @@ class ProbeRunner:
 
     def run_test_sequence(self, host: HostSpec) -> HostReport:
         """Run all steps against one host; connect failure short-circuits."""
-        started = self.clock.now()
-        client = self._dir_client()
+        self._host.failure = ""
         steps: list[TestStep] = []
         unreachable = False
-        try:
-            for spec in self.config.sequence:
-                now = self.clock.now()
-                if unreachable:
-                    steps.append(TestStep(
-                        name=spec.name, status=Status.UNREACHABLE,
-                        transcript=[f"{spec.name}: skipped, host unreachable"],
-                        started_at=now, duration_ms=0, skipped=True))
-                    continue
-                step = self._run_step(spec, host, client, now)
-                step.duration_ms = max(step.duration_ms, self.clock.now() - now)
-                steps.append(step)
-                if spec.kind == "tcp_connect" and step.status is Status.UNREACHABLE:
-                    unreachable = True
-            values = self._display_values(host, client)
-        finally:
-            if client is not None:
-                client.close()
+        for spec in self.config.sequence:
+            now = self.clock.now()
+            if unreachable:
+                steps.append(TestStep(
+                    name=spec.name, status=Status.UNREACHABLE,
+                    transcript=[f"{spec.name}: skipped, host unreachable"],
+                    started_at=now, duration_ms=0, skipped=True))
+                continue
+            step = self._run_step(spec, host, now)
+            step.duration_ms = max(step.duration_ms, self.clock.now() - now)
+            steps.append(step)
+            if spec.kind == "tcp_connect" and step.status is Status.UNREACHABLE:
+                unreachable = True
+        values = self._display_values(host)
         return HostReport(
             host=host.path,
             steps=steps,
@@ -293,13 +292,13 @@ class ProbeRunner:
             duration_ms=sum(s.duration_ms for s in steps),
         )
 
-    def _display_values(self, host: HostSpec, client) -> dict:
+    def _display_values(self, host: HostSpec) -> dict:
         """The dynamic numbers the text view shows: load, uptime, idle, age."""
         values: dict = {"cpu_load1": None, "uptime_s": None, "idle_s": None, "age_s": None}
         field_by_metric = {"cpu.load1": "cpu_load1", "sys.uptime_s": "uptime_s",
                            "sys.idle_s": "idle_s"}
         for metric in self.config.display_metrics:
-            result, _ = self._query_latest(client, host.path, metric)
+            result, _ = self._query_latest(host.path, metric)
             if result is None or result.sample is None:
                 continue
             name = field_by_metric.get(metric)

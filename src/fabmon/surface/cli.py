@@ -29,7 +29,9 @@ from fabmon.simfab.fabric import run_sim
 from fabmon.surface.httpd import SurfaceConfig, SurfaceServer
 from fabmon.surface.textview import render_text_status
 from fabmon.wire.channel import TcpWireServer, parse_endpoint, tcp_dial
-from fabmon.wire.client import ConnectionLost, UpstreamError, WireClient
+from fabmon.wire.client import UpstreamError, WireClient
+from fabmon.wire.pool import SessionPool
+from fabmon.wire.session import ProtocolViolation
 
 log = logging.getLogger(__name__)
 
@@ -43,40 +45,28 @@ def _stop_on_sigterm() -> None:
     signal.signal(signal.SIGTERM, signal.default_int_handler)
 
 
-def _for_each_subtree(directory_endpoint, endpoint, subtrees, call) -> bool:
-    """call(client, subtree) for each subtree over one producer session to the directory.
-
-    Returns False, after logging, when the directory is unreachable or refuses.
-    """
-    try:
-        client = WireClient(tcp_dial(directory_endpoint), role="producer", name=endpoint)
-        try:
-            for subtree in subtrees:
-                call(client, subtree)
-        finally:
-            client.close()
-        return True
-    except (ConnectionError, OSError, TimeoutError, ConnectionLost, UpstreamError) as exc:
-        log.info("directory %s: %s", directory_endpoint, exc)
-        return False
-
-
 def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threading.Event):
     """Keep registrations alive until stop is set, then deregister them (best effort).
 
-    Retries quickly while the directory is down; a stop with the directory down
-    leaves the leases to expire.
+    Every round runs over one held producer session, closed after the
+    deregistration. Retries quickly while the directory is down; a stop with
+    the directory down leaves the leases to expire.
     """
-    def register(client, subtree):
-        client.register(subtree, kind, endpoint, ttl)
+    pool = SessionPool(tcp_dial, "producer", endpoint)
 
-    def deregister(client, subtree):
-        client.deregister(subtree, endpoint)
+    def each_subtree(call) -> bool:
+        try:
+            pool.call(directory_endpoint, lambda client: [call(client, s) for s in subtrees])
+            return True
+        except (OSError, ProtocolViolation, UpstreamError) as exc:
+            log.info("directory %s: %s", directory_endpoint, exc)
+            return False
 
     while not stop.is_set():
-        ok = _for_each_subtree(directory_endpoint, endpoint, subtrees, register)
+        ok = each_subtree(lambda client, subtree: client.register(subtree, kind, endpoint, ttl))
         stop.wait(max(5.0, ttl / 2) if ok else 5.0)
-    _for_each_subtree(directory_endpoint, endpoint, subtrees, deregister)
+    each_subtree(lambda client, subtree: client.deregister(subtree, endpoint))
+    pool.close()
 
 
 def cmd_agent_run(args) -> int:
@@ -86,15 +76,17 @@ def cmd_agent_run(args) -> int:
     clock = SystemClock()
     agent = Agent(agent_cfg, clock, dial=tcp_dial)
     host, port = parse_endpoint(agent_cfg.listen_endpoint)
-    server = TcpWireServer(agent.server, host, port).start()
-    log.info("agent %s sampling, serving on %s", agent_cfg.host_path, server.endpoint)
-    try:
+    server = None
+    try:  # a SIGTERM as soon as the port listens must still stop cleanly
+        server = TcpWireServer(agent.server, host, port).start()
+        log.info("agent %s sampling, serving on %s", agent_cfg.host_path, server.endpoint)
         agent.run()
     except KeyboardInterrupt:
         pass
     finally:
         agent.stop()
-        server.stop()
+        if server is not None:
+            server.stop()
     return 0
 
 
@@ -110,23 +102,22 @@ def cmd_importer_run(args) -> int:
         store = MemoryStore()
     importer = Importer(store, clock)
     host, port = parse_endpoint(sect.get("listen", eps["importer"]))
-    server = TcpWireServer(importer.server, host, port).start()
-    log.info("importer listening on %s", server.endpoint)
-
-    stop = threading.Event()
     subtrees = [ResourcePath.parse(s) for s in sect.get("subtrees", [])]
-    keeper = threading.Thread(
-        target=_lease_keeper,
-        args=(sect.get("directory", eps["directory"]), subtrees, "archive",
-              sect.get("advertise", server.endpoint),
-              sect.get("registration_ttl_s", 120), stop),
-        daemon=True,
-    )
-    if subtrees:
-        keeper.start()
-
     retention = sect.get("retention")
-    try:
+    stop = threading.Event()
+    server = keeper = None
+    try:  # a SIGTERM as soon as the port listens must still stop cleanly
+        server = TcpWireServer(importer.server, host, port).start()
+        log.info("importer listening on %s", server.endpoint)
+        if subtrees:
+            keeper = threading.Thread(
+                target=_lease_keeper,
+                args=(sect.get("directory", eps["directory"]), subtrees, "archive",
+                      sect.get("advertise", server.endpoint),
+                      sect.get("registration_ttl_s", 120), stop),
+                daemon=True,
+            )
+            keeper.start()
         next_sweep = time.monotonic() + (retention or {}).get("sweep_period_s", 3600)
         while True:
             time.sleep(1)
@@ -140,9 +131,10 @@ def cmd_importer_run(args) -> int:
         pass
     finally:
         stop.set()
-        if subtrees:
+        if keeper is not None and keeper.is_alive():
             keeper.join()  # the keeper deregisters before it ends
-        server.stop()
+        if server is not None:
+            server.stop()
         store.close()
     return 0
 
@@ -212,6 +204,8 @@ def cmd_probe_run(args) -> int:
             clock.sleep_until(started + probe_cfg.cycle_period_s * 1000)
     except KeyboardInterrupt:
         return 0
+    finally:
+        runner.close()
 
 
 def cmd_serve(args) -> int:
@@ -287,7 +281,7 @@ def cmd_query(args) -> int:
                     print("absent")
         finally:
             client.close()
-    except (UpstreamError, ConnectionLost, ConnectionError, OSError, TimeoutError) as exc:
+    except (UpstreamError, OSError) as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 1
     return 0

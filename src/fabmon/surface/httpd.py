@@ -26,8 +26,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from fabmon.core import MalformedPath, ResourcePath
 from fabmon.probe.snapshot import SCHEMA_VERSION
-from fabmon.wire.client import ConnectionLost, UpstreamError, WireClient
+from fabmon.wire.client import UpstreamError
 from fabmon.wire.codec import sample_to_obj
+from fabmon.wire.pool import SessionPool
+from fabmon.wire.session import ProtocolViolation
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
             except UpstreamError as exc:
                 self._error(502, f"{exc.code}: {exc.message}")
                 return
-            except (ConnectionLost, ConnectionError, OSError, TimeoutError) as exc:
+            except (OSError, ProtocolViolation) as exc:
                 self._error(502, str(exc))
                 return
             self._json(200, {"path": path_text, "metric": metric,
@@ -186,12 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _query_range(self, cfg: SurfaceConfig, path, metric, t0, t1):
         if cfg.directory is not None:
             return cfg.directory.query_history(path, metric, t0, t1)
-        channel = cfg.dial(cfg.directory_endpoint)
-        client = WireClient(channel, role="consumer", name="surface")
-        try:
-            return client.query_range(path, metric, t0, t1)
-        finally:
-            client.close()
+        return self.server.pool.call(  # type: ignore[attr-defined]
+            cfg.directory_endpoint, lambda c: c.query_range(path, metric, t0, t1))
 
 
 class SurfaceServer(ThreadingHTTPServer):
@@ -200,6 +198,8 @@ class SurfaceServer(ThreadingHTTPServer):
 
     def __init__(self, config: SurfaceConfig):
         self.config = config
+        # held sessions for /metrics: at most one per request in flight
+        self.pool = SessionPool(config.dial, "consumer", "surface")
         super().__init__((config.host, config.port), _Handler)
         self._thread: threading.Thread | None = None
 
@@ -217,3 +217,7 @@ class SurfaceServer(ThreadingHTTPServer):
         self.server_close()
         if self._thread:
             self._thread.join(timeout=5)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.pool.close()

@@ -101,11 +101,6 @@ class WireClient:
             "subtree": subtree, "kind": kind, "endpoint": endpoint, "ttl": ttl})
         return reply.body["expires_at"]
 
-    def renew(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
-        reply = self._request("RENEW", {
-            "subtree": subtree, "kind": kind, "endpoint": endpoint, "ttl": ttl})
-        return reply.body["expires_at"]
-
     def deregister(self, subtree: ResourcePath, endpoint: str) -> int:
         reply = self._request("DEREGISTER", {"subtree": subtree, "endpoint": endpoint})
         return reply.body.get("removed", 0)

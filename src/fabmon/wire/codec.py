@@ -173,12 +173,6 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
         ("endpoint", "str", True),
         ("ttl", "int", True),
     ),
-    "RENEW": (
-        ("subtree", "path", True),
-        ("kind", "provider_kind", True),
-        ("endpoint", "str", True),
-        ("ttl", "int", True),
-    ),
     "DEREGISTER": (
         ("subtree", "path", True),
         ("endpoint", "str", True),

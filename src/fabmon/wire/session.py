@@ -24,7 +24,7 @@ from fabmon.wire.codec import MalformedRecord, Message, SchemaViolation
 
 log = logging.getLogger(__name__)
 
-PRODUCER_KINDS = frozenset({"REGISTER", "RENEW", "DEREGISTER"})
+PRODUCER_KINDS = frozenset({"REGISTER", "DEREGISTER"})
 CONSUMER_KINDS = frozenset({"SUBSCRIBE", "UNSUBSCRIBE", "QUERY_LATEST", "QUERY_RANGE"})
 
 
@@ -78,9 +78,6 @@ class WireHandler:
         raise RequestError("unsupported", "this endpoint does not answer range queries")
 
     def on_register(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
-        raise RequestError("unsupported", "this endpoint does not take registrations")
-
-    def on_renew(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
         raise RequestError("unsupported", "this endpoint does not take registrations")
 
     def on_deregister(self, subtree: ResourcePath, endpoint: str) -> int:
@@ -255,9 +252,9 @@ class WireServer:
             samples = self.handler.on_query_range(
                 body["path"], body["metric"], body["t0"], body["t1"], body.get("hops", 0))
             return Message("REPLY", msg.cid, {"samples": samples})
-        if msg.kind in ("REGISTER", "RENEW"):
-            fn = self.handler.on_register if msg.kind == "REGISTER" else self.handler.on_renew
-            expires_at = fn(body["subtree"], body["kind"], body["endpoint"], body["ttl"])
+        if msg.kind == "REGISTER":
+            expires_at = self.handler.on_register(
+                body["subtree"], body["kind"], body["endpoint"], body["ttl"])
             return Message("REPLY", msg.cid, {"expires_at": expires_at})
         if msg.kind == "DEREGISTER":
             removed = self.handler.on_deregister(body["subtree"], body["endpoint"])

@@ -422,6 +422,23 @@ class TestDeregisterOnStop:
         assert time.monotonic() - started < 1.0
         assert len(directory.registry_dump()) == 1  # left to expire with its lease
 
+    def test_no_directory_session_held_between_ticks(self, clock):
+        directory = DirectoryService(clock, lambda ep: None, name="dir")
+        dials = []
+
+        def dial(endpoint):
+            dials.append(endpoint)
+            return connect_memory(directory.server)
+
+        agent = self._agent(clock, dial)
+        agent.config.registration_ttl = 60
+        for _ in range(3):  # the lease is renewed every half ttl
+            agent.tick(clock.now())
+            assert directory.server.connections() == []
+            clock.advance(31_000)
+        assert dials == ["dir:1"] * 3
+        assert [e["endpoint"] for e in directory.registry_dump()] == ["agent:1"]
+
     def test_never_registered_sends_nothing(self, clock):
         dials = []
         agent = self._agent(clock, lambda ep: dials.append(ep))

@@ -16,7 +16,6 @@ from fabmon.core import (
     SimClock,
     Status,
     combine_status,
-    validate_sample,
 )
 
 
@@ -107,30 +106,6 @@ class TestStatus:
         assert Status.parse("warn") is Status.WARN
         with pytest.raises(ValueError):
             Status.parse("meh")
-
-
-class TestValidateSample:
-    DESC = MetricDescriptor(name="cpu.load1", kind="gauge", units="load")
-    TEXT_DESC = MetricDescriptor(name="sys.note", kind="text")
-
-    def test_gauge_ok(self):
-        assert validate_sample(make_sample(value=0.42), self.DESC) == []
-
-    def test_text_on_gauge(self):
-        bad = validate_sample(make_sample(value="busy"), self.DESC)
-        assert [v.code for v in bad] == ["kind_mismatch"]
-
-    def test_nan_rejected(self):
-        bad = validate_sample(make_sample(value=float("nan")), self.DESC)
-        assert [v.code for v in bad] == ["non_finite_value"]
-
-    def test_number_on_text(self):
-        bad = validate_sample(make_sample(metric="sys.note", value=3), self.TEXT_DESC)
-        assert [v.code for v in bad] == ["kind_mismatch"]
-
-    def test_metric_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            validate_sample(make_sample(metric="other.metric"), self.DESC)
 
 
 class TestTypes:

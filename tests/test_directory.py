@@ -20,7 +20,7 @@ from fabmon.directory import (
     Registry,
     UpstreamUnreachable,
 )
-from fabmon.wire import MemoryChannel, UpstreamError, WireClient, WireServer
+from fabmon.wire import MemoryChannel, UpstreamError, WireClient, WireServer, decode_wire_line
 from fabmon.wire.session import WireHandler
 
 P = ResourcePath.parse
@@ -424,34 +424,6 @@ class TestHistoryAndProbe:
         with pytest.raises(ValueError):
             service.query_history(P("bnl/farm/n1"), "cpu.load1", 10, 5)
 
-    def test_trigger_probe_bypasses_archive(self, clock):
-        net, service, importer = self._with_archive(clock)
-        stale = make_sample(ts=EPOCH_MS - 50_000, value=0.1)
-        importer.store.append(stale)
-        fresh = make_sample(ts=clock.now(), value=0.9)
-        agent = _AgentStub(P("bnl/farm/n1"), fresh)
-        net.add("agent:1", WireServer(agent, clock))
-        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
-        archive_latest = _count_calls(importer, "on_query_latest")
-        got = service.trigger_probe(P("bnl/farm/n1"), "cpu.load1")
-        assert got == fresh
-        # probe result refills the cache: next latest query needs no upstream
-        assert service.query_latest(P("bnl/farm/n1"), "cpu.load1").source == "cache"
-        assert (agent.queries, len(archive_latest)) == (1, 0)
-
-    def test_trigger_probe_agent_down(self, clock):
-        net, service, _ = self._with_archive(clock)
-        net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1")), clock))
-        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
-        net.down.add("agent:1")
-        with pytest.raises(UpstreamUnreachable):
-            service.trigger_probe(P("bnl/farm/n1"), "cpu.load1")
-
-    def test_trigger_probe_needs_agent_registration(self, clock):
-        net, service, _ = self._with_archive(clock)  # archive only
-        with pytest.raises(NoProvider):
-            service.trigger_probe(P("bnl/farm/n1"), "cpu.load1")
-
 
 class TestFederation:
     def _tree(self, clock):
@@ -552,14 +524,17 @@ class TestWireSurface:
         with pytest.raises(UpstreamError) as err:
             producer.register(P("bnl"), "agent", "e", 3)
         assert err.value.code == "invalid_ttl"
-        with pytest.raises(UpstreamError) as err:
-            producer.renew(P("bnl"), "agent", "e", 86401)
-        assert err.value.code == "invalid_ttl"
 
     def test_renew_over_the_wire_extends_in_place(self, clock):
+        # REGISTER renews in place; there is no RENEW verb on the wire
         net, service = _stack(clock)
         producer = WireClient(net.dial("dir:1"), role="producer", name="x")
         producer.register(P("bnl"), "agent", "e", 60)
         clock.advance(30_000)
-        assert producer.renew(P("bnl"), "agent", "e", 60) == clock.now() + 60_000
+        assert producer.register(P("bnl"), "agent", "e", 60) == clock.now() + 60_000
+        assert [r["expires_at"] for r in service.registry_dump()] == [clock.now() + 60_000]
+        producer._channel.send(b'{"k":"RENEW","cid":9,"subtree":"bnl","kind":"agent",'
+                               b'"endpoint":"e","ttl":60}\n')
+        error = decode_wire_line(producer._channel.recv(1))
+        assert (error.kind, error.body["code"]) == ("ERROR", "schema_violation")
         assert [r["expires_at"] for r in service.registry_dump()] == [clock.now() + 60_000]

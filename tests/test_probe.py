@@ -18,6 +18,7 @@ from fabmon.probe import (
     ProbeRunner,
     SimBatchDriver,
     StepSpec,
+    ThreadDriver,
     consistency_check,
     publish_snapshot,
 )
@@ -35,13 +36,17 @@ class _Net:
     def __init__(self):
         self.servers = {}
         self.down = set()
+        self.dials = {}
+        self._lock = threading.Lock()
 
     def add(self, endpoint, server):
         self.servers[endpoint] = server
 
     def dial(self, endpoint, timeout=None):
+        with self._lock:  # the thread driver dials from its workers
+            self.dials[endpoint] = self.dials.get(endpoint, 0) + 1
         if endpoint in self.down or endpoint not in self.servers:
-            raise ConnectionRefusedError(endpoint)
+            raise ConnectionRefusedError(f"{endpoint} refused")
         return connect_memory(self.servers[endpoint])
 
 
@@ -128,6 +133,48 @@ class TestSequence:
     def test_failed_steps_have_transcripts(self):
         with pytest.raises(ValueError):
             ProbeStep(name="x", status=Status.FAIL, transcript=[], started_at=1, duration_ms=0)
+
+
+class TestDirectorySessions:
+    """The probe holds its directory sessions across hosts and cycles."""
+
+    HOSTS = [f"s{i}/farm/n{j}" for i in range(4) for j in range(10)]
+
+    def test_dials_at_most_fanout_times(self, clock):
+        net, _, runner = _fabric(clock, self.HOSTS)
+        fanout = 4
+        runner.driver = ThreadDriver(fanout)
+        for cycle in (1, 2):
+            snap = runner.run_cycle(cycle)
+            assert {h.combined for s in snap.sites for h in s.hosts} == {Status.PASS}
+        assert 1 <= net.dials["dir:1"] <= fanout  # not one per host per cycle
+        runner.close()
+        assert net.servers["dir:1"].connections() == []
+
+    def test_restarted_directory_is_redialed_once(self, clock):
+        net, directory, runner = _fabric(clock, self.HOSTS)
+        runner.run_cycle(1)
+        assert net.dials["dir:1"] == 1
+        restarted = DirectoryService(clock, net.dial, name="dir")
+        for entry in directory.registry.live_entries(clock.now()):
+            restarted.registry.register(
+                entry.subtree, entry.provider_kind, entry.endpoint, 6000, clock.now())
+        for conn in directory.server.connections():
+            directory.server.detach(conn)
+        net.servers["dir:1"] = restarted.server
+        snap = runner.run_cycle(2)
+        assert {h.combined for s in snap.sites for h in s.hosts} == {Status.PASS}
+        assert net.dials["dir:1"] == 2
+
+    def test_refusing_directory_costs_one_dial_per_host(self, clock):
+        net, _, runner = _fabric(clock, self.HOSTS)
+        net.down.add("dir:1")
+        snap = runner.run_cycle(1)
+        assert net.dials["dir:1"] == len(self.HOSTS)
+        for host in (h for s in snap.sites for h in s.hosts):
+            lookup = host.steps[1]
+            assert lookup.status is Status.FAIL
+            assert any("dir:1 refused" in line for line in lookup.transcript), lookup.transcript
 
 
 class TestConsistency:

@@ -7,6 +7,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from fabmon.archive import Importer, MemoryStore
 from fabmon.directory import DirectoryService
 from fabmon.probe import publish_snapshot
 from fabmon.surface import SurfaceConfig, SurfaceServer, render_text_status
+from fabmon.surface import cli
 from fabmon.wire import TcpWireServer, connect_memory, tcp_dial
 from golden_fixtures import fixed_snapshot
 
@@ -114,6 +116,28 @@ class TestHttp:
         direct = store.range(P("bnl/farm/n1"), "cpu.load1", EPOCH_MS, EPOCH_MS + 3000)
         assert [s["t"] for s in got] == [s.timestamp for s in direct]
         assert [s["v"] for s in got] == [s.value for s in direct]
+
+    def test_metrics_requests_share_one_directory_session(self, stack, tmp_path):
+        colocated, _, _ = stack
+        directory = colocated.config.directory
+        dials = []
+
+        def dial(endpoint):
+            dials.append(endpoint)
+            return connect_memory(directory.server)
+
+        standalone = SurfaceServer(SurfaceConfig(
+            snapshot_dir=str(tmp_path), host="127.0.0.1", port=0,
+            directory_endpoint="dir:1", dial=dial)).start()
+        try:
+            for _ in range(2):
+                status, body = _get(standalone.endpoint, "/metrics/bnl/farm/n1/cpu.load1")
+                assert status == 200
+                assert len(json.loads(body)["samples"]) == 5
+        finally:
+            standalone.stop()
+        assert dials == ["dir:1"]
+        assert directory.server.connections() == []  # closed with the server
 
     def test_no_snapshot_yet_503(self, tmp_path):
         server = SurfaceServer(SurfaceConfig(
@@ -272,13 +296,20 @@ class TestCli:
         assert code == 0, stderr
 
     def test_directory_sigterm_as_soon_as_it_listens(self, tmp_path):
-        # the wire port listens before the daemon has started its threads
-        for attempt in range(3):
-            ports = _free_ports(2)
+        # each daemon's wire port listens before it has started its threads;
+        # the importer's and agent's peers refuse, so nothing else answers
+        for attempt, daemon in enumerate(["directory", "importer", "agent"] * 3):
+            ports = _free_ports(5)
+            listen = f"127.0.0.1:{ports[0]}"
             config = tmp_path / f"config{attempt}.json"
-            config.write_text(json.dumps({"endpoints": {
-                "directory": f"127.0.0.1:{ports[0]}",
-                "directory_http": f"127.0.0.1:{ports[1]}"}}))
+            config.write_text(json.dumps({
+                "host_path": "bnl/farm/n1",
+                "endpoints": {
+                    "directory": listen if daemon == "directory" else f"127.0.0.1:{ports[1]}",
+                    "directory_http": f"127.0.0.1:{ports[2]}",
+                    "importer": f"127.0.0.1:{ports[3]}",
+                    "agent": listen},
+                "importer": {"store": "memory", "listen": listen, "subtrees": ["bnl"]}}))
 
             def listening() -> bool:
                 deadline = time.monotonic() + 30
@@ -290,8 +321,9 @@ class TestCli:
                         pass
                 return False
 
-            code, stderr = _sigterm_after(["directory", "run", "--config", str(config)], listening)
-            assert code == 0, stderr
+            code, stderr = _sigterm_after([daemon, "run", "--config", str(config)], listening)
+            assert code == 0, (daemon, stderr)
+            assert b"Traceback" not in stderr, (daemon, stderr)
 
     def test_importer_deregisters_on_sigterm(self, tmp_path):
         directory = DirectoryService(SystemClock(), tcp_dial, name="dir")
@@ -312,6 +344,33 @@ class TestCli:
         finally:
             wire.stop()
             directory.close()
+
+    def test_lease_keeper_renews_over_one_session(self, monkeypatch):
+        clock = SimClock(EPOCH_MS)
+        directory = DirectoryService(clock, lambda ep: None, name="dir")
+        dials = []
+
+        def dial(endpoint):
+            dials.append(endpoint)
+            return connect_memory(directory.server)
+
+        class ThreeRounds(threading.Event):
+            rounds = 0
+
+            def wait(self, timeout=None):  # one call per renewal round
+                assert len(directory.registry_dump()) == 2
+                self.rounds += 1
+                if self.rounds == 3:
+                    self.set()
+                return self.is_set()
+
+        monkeypatch.setattr(cli, "tcp_dial", dial)
+        stop = ThreeRounds()
+        cli._lease_keeper("dir:1", [P("bnl"), P("uta")], "archive", "arch:1", 120, stop)
+        assert stop.rounds == 3
+        assert dials == ["dir:1"]
+        assert directory.registry_dump() == []  # deregistered on stop
+        assert directory.server.connections() == []  # and the session closed
 
     def test_query_against_unreachable_directory_exits_1(self):
         proc = _cli("query", "latest", "bnl/farm/n1", "cpu.load1",
