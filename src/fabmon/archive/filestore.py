@@ -16,16 +16,20 @@ close, so no segment file stays open between appends (`ulimit -n` need not
 grow with the series count) and a crash costs at most the trailing partial
 line, which reopening discards.
 
-The mirror is a MemoryStore holding every archived sample: per series, one
-timestamp list and one sample list, both sorted, plus the derived
-timestamps. Samples and paths are slotted, paths and metric names are shared
-between samples, so a reopened archive costs about 165 bytes of RAM per
-sample (tracemalloc, 5500 series, 173,185 samples), where a per-sample
-__dict__, a per-series timestamp dict and a metric str per sample cost 294.
+The mirror is a MemoryStore holding every archived sample as columns: per
+series, one array of timestamps, one list of values, one array of ttls, the
+path and metric once, and the derived timestamps once there are any. Samples
+are built when read. A reopened archive costs about 67 bytes of RAM per
+sample (tracemalloc, 5500 series, 173,220 samples), where one slotted
+MetricSample per sample cost 165.
+
+Retention rewrites (or unlinks) only the day files that held a removed
+sample; the others keep their inode and mtime.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from datetime import datetime, timezone
@@ -148,27 +152,28 @@ class FileSegmentStore(TelemetryStore):
 
     def remove(self, path: ResourcePath, metric: str, timestamps: Iterable[int]) -> int:
         doomed = set(timestamps)
+        # the day files, as (day, derived), that hold a doomed sample
+        touched = {(ts // _DAY_MS, self._mirror.is_derived(path, metric, ts))
+                   for ts in doomed if self._mirror.range(path, metric, ts, ts + 1)}
         removed = self._mirror.remove(path, metric, doomed)
         if removed:
-            self._rewrite_series((str(path), metric))
+            self._rewrite_days(path, metric, touched)
         return removed
 
-    def _rewrite_series(self, key: Key) -> None:
-        """Regenerate every segment of one series from the mirror."""
-        series_dir = _series_dir(self.root, key)
+    def _rewrite_days(self, path: ResourcePath, metric: str, days: set[tuple[int, bool]]) -> None:
+        """Regenerate the touched day files from the mirror; leave the others be."""
+        series_dir = _series_dir(self.root, (str(path), metric))
         if not os.path.isdir(series_dir):
             return
-        path = ResourcePath.parse(key[0])
-        survivors = self._mirror.range(path, key[1], 1, 1 << 62)
-        by_file: dict[str, list[MetricSample]] = {}
-        for s in survivors:
-            derived = self._mirror.is_derived(path, key[1], s.timestamp)
-            by_file.setdefault(day_bucket(s.timestamp) + _SUFFIXES[derived], []).append(s)
-        for name in os.listdir(series_dir):
-            if name.endswith(_SUFFIXES) and name not in by_file:
-                os.unlink(os.path.join(series_dir, name))
-        for name, keep in by_file.items():
-            seg = os.path.join(series_dir, name)
+        for day, derived in days:
+            start = day * _DAY_MS
+            keep = [s for s in self._mirror.range(path, metric, start, start + _DAY_MS)
+                    if self._mirror.is_derived(path, metric, s.timestamp) == derived]
+            seg = os.path.join(series_dir, day_bucket(start)) + _SUFFIXES[derived]
+            if not keep:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(seg)
+                continue
             with open(seg + ".tmp", "wb") as fh:
                 fh.write(b"".join(encode_sample(s) for s in keep))
             os.replace(seg + ".tmp", seg)

@@ -24,6 +24,8 @@ _SEGMENT_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
 
 METRIC_KINDS = ("gauge", "counter", "text")
 
+INT64_MAX = (1 << 63) - 1  # timestamps and ttls fit the archive's int64 columns
+
 
 def is_token(text) -> bool:
     """True when text is a legal lowercase name segment / metric token."""
@@ -148,14 +150,14 @@ class MetricSample:
             raise ValueError(f"illegal metric name {self.metric!r}")
         if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
             raise TypeError("timestamp must be an int (unix ms)")
-        if self.timestamp <= 0:
-            raise ValueError("timestamp must be > 0")
+        if not 0 < self.timestamp <= INT64_MAX:
+            raise ValueError("timestamp must be in 1..2**63-1")
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float, str)):
             raise TypeError(f"value must be a number or text, got {type(self.value).__name__}")
         if isinstance(self.ttl, bool) or not isinstance(self.ttl, int):
             raise TypeError("ttl must be an int (seconds)")
-        if self.ttl < 0:
-            raise ValueError("ttl must be >= 0")
+        if not 0 <= self.ttl <= INT64_MAX:
+            raise ValueError("ttl must be in 0..2**63-1")
 
     def key(self) -> tuple[str, str, int]:
         return (str(self.path), self.metric, self.timestamp)

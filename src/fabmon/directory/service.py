@@ -4,7 +4,9 @@ Latest queries hit the cache while it is fresh, then the longest-prefix
 live provider (agents preferred over archives; a child directory means the
 query federates down with a hop cap). Historical queries always delegate to
 an archive. When a provider is registered but unreachable, a stale cache
-cell may be served, explicitly flagged, instead of going silent.
+cell may be served, explicitly flagged, instead of going silent; sweep()
+drops a cell FRESHNESS_CAP_S seconds after it went stale, so the cache
+holds only keys asked for recently.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class CacheCell:
 
     def fresh(self, now: int) -> bool:
         return now < self.fetched_at + self.freshness_ttl * 1000
+
+    def expired(self, now: int) -> bool:
+        """Past freshness plus a FRESHNESS_CAP_S grace in which it may be served stale."""
+        return now >= self.fetched_at + (self.freshness_ttl + FRESHNESS_CAP_S) * 1000
 
 
 Dialer = Callable[[str], object]  # endpoint -> channel
@@ -193,9 +199,13 @@ class DirectoryService(WireHandler):
             entry.endpoint, lambda c: c.query_range(path, metric, t0, t1, hops=next_hops))
 
     def sweep(self) -> int:
-        """Expire registrations; close idle sessions no live one points at."""
+        """Expire registrations and cache cells; close idle sessions no live
+        registration points at."""
         now = self.clock.now()
         removed = self.registry.sweep(now)
+        with self._cache_lock:
+            for key in [k for k, cell in self._cache.items() if cell.expired(now)]:
+                del self._cache[key]
         live = {e.endpoint for e in self.registry.live_entries(now)}
         self.pool.close(keep=live.__contains__)
         return len(removed)

@@ -4,7 +4,8 @@ One snapshot summarizes one probe cycle: per-site rollups, per-host steps
 and the dynamic display values. snapshot.json is written via temp file +
 rename so an HTTP server never sees a torn or missing file; the previous
 snapshot is kept as snapshot.prev.json; transcripts go to
-transcripts/<host>/<cycle>.txt before the snapshot that references them.
+transcripts/<host>/<cycle>.txt before the snapshot that references them,
+and those of other cycles are unlinked once TRANSCRIPT_GRACE_S old.
 
 The JSON serialization is canonical (sorted keys, fixed indentation), so a
 snapshot built from the same inputs is byte-identical every time.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -24,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from fabmon.probe.runner import HostReport
 
 SCHEMA_VERSION = 1
+
+# A transcript neither snapshot references stays this long, so a reader that
+# loaded a snapshot just before the next publishes still finds its transcripts.
+TRANSCRIPT_GRACE_S = 60
 
 
 class IoFailure(RuntimeError):
@@ -107,11 +113,14 @@ def verify_rollups(snapshot_dict: dict) -> list[str]:
 
 def publish_snapshot(snapshot: Snapshot, out_dir: str | Path) -> list[Path]:
     """Write transcripts, hard-link the current snapshot.json to prev, then
-    rename the new one over it: snapshot.json is never missing."""
+    rename the new one over it: snapshot.json is never missing. Last, unlink
+    the transcripts, past their grace, of every cycle but the two the
+    snapshots reference."""
     out = Path(out_dir)
     current = out / "snapshot.json"
     previous = out / "snapshot.prev.json"
     written: list[Path] = []
+    keep = {f"{snapshot.cycle}.txt"}
     try:
         out.mkdir(parents=True, exist_ok=True)
         tmp = out / "snapshot.json.tmp"
@@ -127,6 +136,9 @@ def publish_snapshot(snapshot: Snapshot, out_dir: str | Path) -> list[Path]:
                 ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 written.append(ref)
         if current.exists():
+            prev_cycle = _cycle_of(current)
+            if prev_cycle is not None:
+                keep.add(f"{prev_cycle}.txt")
             prev_tmp = out / "snapshot.prev.json.tmp"
             prev_tmp.unlink(missing_ok=True)
             os.link(current, prev_tmp)
@@ -134,6 +146,25 @@ def publish_snapshot(snapshot: Snapshot, out_dir: str | Path) -> list[Path]:
             written.append(previous)
         os.replace(tmp, current)
         written.append(current)
+        _prune_transcripts(out / "transcripts", keep)
     except OSError as exc:
         raise IoFailure(f"cannot publish snapshot to {out}: {exc}") from exc
     return written
+
+
+def _cycle_of(snapshot_file: Path) -> int | None:
+    """The cycle a published snapshot file records; None if it is unreadable."""
+    try:
+        return json.loads(snapshot_file.read_bytes())["cycle"]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _prune_transcripts(root: Path, keep: set[str]) -> None:
+    cutoff = time.time() - TRANSCRIPT_GRACE_S
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".txt") and name not in keep:
+                path = os.path.join(dirpath, name)
+                if os.stat(path).st_mtime < cutoff:
+                    os.unlink(path)

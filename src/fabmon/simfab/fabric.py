@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fabmon.agent.daemon import Agent, AgentConfig
 from fabmon.agent.sensors import SensorSpec
 from fabmon.archive.importer import Importer
-from fabmon.archive.store import MemoryStore
+from fabmon.archive.store import AppendResult, MemoryStore
 from fabmon.core import MetricDescriptor, MetricSample, ResourcePath, SimClock, Status
 from fabmon.directory.service import DirectoryService
 from fabmon.probe.checks import ConsistencyRule, default_rules
@@ -205,27 +205,19 @@ class SimProber:
 
 
 class _ShadowModel:
-    """Brute-force record of every produced sample, for query checking."""
+    """Record of every produced sample, for query checking."""
 
     def __init__(self):
-        self.by_key: dict[tuple[str, str], list[MetricSample]] = {}
+        self.store = MemoryStore()
         self.stream_digest = hashlib.sha256()
         self.produced = 0
 
     def record(self, samples: list[MetricSample]) -> None:
         for s in samples:
-            self.by_key.setdefault((str(s.path), s.metric), []).append(s)
+            if self.store.append(s) is AppendResult.CONFLICT:
+                raise SimInvariantViolation(f"two values produced for {s.key()}")
             self.stream_digest.update(encode_sample(s))
             self.produced += 1
-
-    def latest_at(self, key: tuple[str, str], cutoff: int) -> MetricSample | None:
-        best = None
-        for s in self.by_key.get(key, ()):  # lists are in production (time) order
-            if s.timestamp <= cutoff:
-                best = s
-            else:
-                break
-        return best
 
 
 class _CheckedDirectory(DirectoryService):
@@ -246,20 +238,22 @@ class _CheckedDirectory(DirectoryService):
     def _check(self, path, metric, result) -> None:
         key = (str(path), metric)
         now = self.clock.now()
-        if result.sample is None:
+        answer = result.sample
+        if answer is None:
             return  # absent is legitimate when nothing covers the path
-        produced = self._shadow.by_key.get(key, [])
-        if result.sample not in produced:
-            self._fail(f"{key}: answered sample was never produced: {result.sample}")
+        produced = self._shadow.store
+        if produced.range(path, metric, answer.timestamp, answer.timestamp + 1) != [answer]:
+            self._fail(f"{key}: answered sample was never produced: {answer}")
             return
         if result.stale:
             return  # explicitly flagged; no freshness claim to check
-        freshness_ms = self._freshness_for(result.sample) * 1000
-        floor = self._shadow.latest_at(key, now - freshness_ms)
-        if floor is not None and result.sample.timestamp < floor.timestamp:
-            self._fail(
-                f"{key}: answer at {result.sample.timestamp} older than every "
-                f"fetch in the freshness window could see ({floor.timestamp})")
+        cutoff = now - self._freshness_for(answer) * 1000
+        if answer.timestamp < cutoff:
+            newer = produced.range(path, metric, answer.timestamp + 1, cutoff + 1)
+            if newer:
+                self._fail(
+                    f"{key}: answer at {answer.timestamp} older than every "
+                    f"fetch in the freshness window could see ({newer[-1].timestamp})")
 
     def _fail(self, detail: str) -> None:
         if len(self._failures) < 25:

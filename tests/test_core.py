@@ -115,6 +115,11 @@ class TestTypes:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             make_sample(ts=0)
+        make_sample(ts=2**63 - 1, ttl=2**63 - 1)
+        with pytest.raises(ValueError):
+            make_sample(ts=2**63)
+        with pytest.raises(ValueError):
+            make_sample(ttl=2**63)
         with pytest.raises(TypeError):
             make_sample(value=[1])
         with pytest.raises(TypeError):

@@ -232,6 +232,36 @@ class TestQueryLatest:
         got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert got.stale and got.source == "cache" and got.sample == sample
 
+    def test_sweep_evicts_cells_past_the_grace_period(self, clock):
+        net, service = _stack(clock)
+        sample = make_sample(ts=clock.now(), value=0.5, ttl=30)
+        net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1"), sample), clock))
+        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 6000, clock.now())
+        service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        grace_ms = service_mod.FRESHNESS_CAP_S * 1000
+        clock.advance(30_000 + grace_ms - 1)
+        service.sweep()
+        assert service._cache_get(("bnl/farm/n1", "cpu.load1"), clock.now())[0] is not None
+        clock.advance(1)
+        service.sweep()
+        assert service._cache == {}
+        # evicted: a down upstream now gives an error, not a stale answer
+        net.down.add("agent:1")
+        with pytest.raises(UpstreamUnreachable):
+            service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+
+    def test_stale_serve_within_the_grace_period_survives_sweep(self, clock):
+        net, service = _stack(clock)
+        sample = make_sample(ts=clock.now(), value=0.5, ttl=30)
+        net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1"), sample), clock))
+        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 6000, clock.now())
+        service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        net.down.add("agent:1")
+        clock.advance(30_000 + service_mod.FRESHNESS_CAP_S * 1000 - 1)
+        service.sweep()
+        got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
+        assert got.stale and got.source == "cache" and got.sample == sample
+
     def test_unreachable_without_cache_raises(self, clock):
         net, service = _stack(clock)
         net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1")), clock))

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import threading
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from fabmon.probe import (
 )
 from fabmon.probe.runner import ConnectResult
 from fabmon.probe.runner import TestStep as ProbeStep
-from fabmon.probe.snapshot import snapshot_bytes, verify_rollups
+from fabmon.probe.snapshot import TRANSCRIPT_GRACE_S, snapshot_bytes, verify_rollups
 from fabmon.wire import WireServer, connect_memory
 from fabmon.wire.session import WireHandler
 from golden_fixtures import fixed_snapshot
@@ -361,6 +362,33 @@ class TestPublish:
         text = ref.read_text()
         assert "connect: cannot reach" in text
         assert "skipped, host unreachable" in text
+
+    def test_transcripts_pruned_to_the_two_published_cycles(self, tmp_path):
+        aged = time.time() - TRANSCRIPT_GRACE_S - 1
+        for cycle in range(7, 12):
+            # each earlier cycle is past its grace, as 300 s probe cycles are
+            for dirpath, _dirs, files in os.walk(tmp_path / "transcripts"):
+                for name in files:
+                    os.utime(os.path.join(dirpath, name), (aged, aged))
+            snap = fixed_snapshot()
+            snap.cycle = cycle
+            publish_snapshot(snap, tmp_path)
+        hosts = ["bnl/farm/n1", "bnl/farm/n2", "uta/farm/n1"]
+        for host in hosts:
+            assert sorted(os.listdir(tmp_path / "transcripts" / host)) == ["10.txt", "11.txt"]
+        for name in ("snapshot.json", "snapshot.prev.json"):
+            doc = json.loads((tmp_path / name).read_bytes())
+            refs = [step["transcript_ref"] for site in doc["sites"]
+                    for host in site["hosts"] for step in host["steps"]]
+            assert refs and all((tmp_path / ref).is_file() for ref in refs)
+
+    def test_unreferenced_transcripts_kept_within_their_grace(self, tmp_path):
+        for cycle in range(7, 12):
+            snap = fixed_snapshot()
+            snap.cycle = cycle
+            publish_snapshot(snap, tmp_path)
+        names = os.listdir(tmp_path / "transcripts" / "bnl" / "farm" / "n1")
+        assert sorted(names) == [f"{c}.txt" for c in (10, 11, 7, 8, 9)]
 
     def test_unwritable_target_raises_keeps_old(self, tmp_path):
         publish_snapshot(fixed_snapshot(), tmp_path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,13 @@ class TestBaselineRun:
                         faults=(FaultSpec(kind="host_down", target="site1/farm/node0000",
                                           t0_ms=100_000, t1_ms=400_000),))
         assert run_sim(cfg).report_bytes() == run_sim(cfg).report_bytes()
+
+    def test_golden_report_bytes(self):
+        # written by an earlier commit; a change that alters these bytes
+        # rewrites tests/golden/sim_report.json and says why
+        cfg = SimConfig(n_hosts=60, n_sites=4, duration_s=900, seed=5)
+        golden = Path(__file__).parent / "golden" / "sim_report.json"
+        assert run_sim(cfg).report_bytes() == golden.read_bytes()
 
     def test_report_ignores_wall_clock(self, monkeypatch):
         cfg = SimConfig(n_hosts=4, n_sites=2, duration_s=320, seed=33, probe_period_s=300)

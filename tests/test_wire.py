@@ -69,6 +69,9 @@ class TestSampleCodec:
         b'{"t":1,"p":"a","m":"m","v":true,"ttl":1}\n',
         b'{"t":1,"p":"a","m":"m","v":1,"ttl":"x"}\n',
         b'{"t":1,"p":"A//b","m":"m","v":1,"ttl":1}\n',
+        # past the archive's int64 timestamp and ttl columns
+        b'{"t":9223372036854775808,"p":"a","m":"m","v":1,"ttl":1}\n',
+        b'{"t":1,"p":"a","m":"m","v":1,"ttl":9223372036854775808}\n',
     ])
     def test_wrong_types(self, line):
         with pytest.raises(SchemaViolation):
