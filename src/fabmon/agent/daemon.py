@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from fabmon.core import Clock, MetricSample, ResourcePath
@@ -76,7 +76,6 @@ class AgentConfig:
     registration_ttl: int = 120  # seconds
     synthetic: bool = False  # use the deterministic synthetic readers
     emit_self_metrics: bool = True
-    sensor_params: dict = field(default_factory=dict)  # per sensor id
 
 
 @dataclass
@@ -119,7 +118,6 @@ class Agent(WireHandler):
 
     def _read_spec(self, spec: SensorSpec, now: int) -> list[tuple[str, float | int | str]]:
         params = dict(spec.params)
-        params.update(self.config.sensor_params.get(spec.id, {}))
         if spec.source == "external":
             samples, bad = external_mod.run_external(
                 spec.command, spec.timeout, self.config.host_path)

@@ -160,26 +160,9 @@ def default_sensor_specs(period: float = 30.0, include_net: bool = False) -> lis
     specs = []
     for kind in kinds:
         metrics = [
-            MetricDescriptor(
-                name=m,
-                kind="counter" if m.startswith("sys.") else "gauge",
-                units=_units_for(m),
-                default_period=period,
-                validity_ttl=period * 3,
-            )
+            MetricDescriptor(name=m, default_period=period, validity_ttl=period * 3)
             for m in BUILTIN_METRICS[kind]
         ]
         specs.append(SensorSpec(id=kind, source=kind, metrics=metrics, period=period))
     return specs
 
-
-def _units_for(metric: str) -> str:
-    if metric.endswith("_bytes"):
-        return "bytes"
-    if metric.endswith("_s"):
-        return "seconds"
-    if metric.endswith("_ms"):
-        return "milliseconds"
-    if metric.startswith("cpu.load"):
-        return "load"
-    return ""

@@ -1,7 +1,6 @@
 from fabmon.archive.store import (  # noqa: F401
     AppendResult,
     InvalidRange,
-    KindMismatch,
     MemoryStore,
     TelemetryStore,
 )

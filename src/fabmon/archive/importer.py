@@ -2,8 +2,7 @@
 
 Every data line a producer sends lands in exactly one counter bucket:
 ingested, duplicates or rejected (malformed lines and value conflicts).
-The importer endpoint doubles as the archive's query server and fans
-ingested samples out to any subscribed consumers.
+The importer endpoint doubles as the archive's query server.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ class ImporterCounters:
     duplicates: int = 0
     rejected: int = 0
 
-    @property
-    def lines_received(self) -> int:
-        return self.ingested + self.duplicates + self.rejected
-
 
 class Importer(WireHandler):
     def __init__(self, store: TelemetryStore, clock: Clock, name: str = "importer"):
@@ -47,9 +42,7 @@ class Importer(WireHandler):
                 self.counters.duplicates += 1
             else:
                 self.counters.rejected += 1
-        if result is AppendResult.OK:
-            self.server.publish(sample)
-        elif result is AppendResult.CONFLICT:
+        if result is AppendResult.CONFLICT:
             raise RequestError("conflict", f"different value already stored for {sample.key()}")
 
     def on_bad_line(self, line: bytes, error: Exception) -> None:

@@ -28,12 +28,6 @@ class InvalidRange(ValueError):
     pass
 
 
-class KindMismatch(TypeError):
-    """Numeric aggregation requested over text samples."""
-
-
-AGGREGATE_FNS = ("min", "max", "mean", "count", "last")
-
 Key = tuple[str, str]  # (path text, metric)
 
 
@@ -68,31 +62,6 @@ class TelemetryStore:
 
     def close(self) -> None:
         pass
-
-    def aggregate(self, path: ResourcePath, metric: str, t0: int, t1: int, fn: str):
-        """min/max/mean/count/last over the half-open range; None when empty.
-
-        count is 0 on an empty range; min/max/mean refuse text values.
-        """
-        if fn not in AGGREGATE_FNS:
-            raise ValueError(f"unknown aggregate fn {fn!r}")
-        samples = self.range(path, metric, t0, t1)
-        if fn == "count":
-            return len(samples)
-        if not samples:
-            return None
-        if fn == "last":
-            return samples[-1].value
-        values = []
-        for s in samples:
-            if isinstance(s.value, str):
-                raise KindMismatch(f"cannot {fn} text metric {metric}")
-            values.append(s.value)
-        if fn == "min":
-            return min(values)
-        if fn == "max":
-            return max(values)
-        return sum(values) / len(values)
 
 
 def check_range(t0: int, t1: int) -> None:

@@ -53,8 +53,6 @@ def endpoints(cfg: dict) -> dict:
 def _descriptor(obj: dict, period: float) -> MetricDescriptor:
     return MetricDescriptor(
         name=obj["name"],
-        kind=obj.get("kind", "gauge"),
-        units=obj.get("units", ""),
         default_period=obj.get("period_s", period),
         validity_ttl=obj.get("validity_ttl_s", period * 3),
     )

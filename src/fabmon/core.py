@@ -22,8 +22,6 @@ PARSE_CACHE_SIZE = 16_384
 
 _SEGMENT_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
 
-METRIC_KINDS = ("gauge", "counter", "text")
-
 INT64_MAX = (1 << 63) - 1  # timestamps and ttls fit the archive's int64 columns
 
 
@@ -73,10 +71,6 @@ class ResourcePath:
             raise MalformedPath(f"empty segment in {text!r}")
         return ResourcePath(tuple(segments))
 
-    def is_prefix_of(self, other: "ResourcePath") -> bool:
-        n = len(self.components)
-        return n <= len(other.components) and other.components[:n] == self.components
-
     @property
     def site(self) -> str:
         return self.components[0]
@@ -112,16 +106,12 @@ class MetricDescriptor:
     """Declares one metric an agent emits and how often it refreshes."""
 
     name: str
-    kind: str = "gauge"
-    units: str = ""
     default_period: float = 30.0
     validity_ttl: float = 90.0
 
     def __post_init__(self):
         if not _SEGMENT_RE.match(self.name):
             raise ValueError(f"illegal metric name {self.name!r}")
-        if self.kind not in METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.default_period < 1:
             raise ValueError("default_period must be >= 1s")
         if self.validity_ttl < self.default_period:
@@ -161,10 +151,6 @@ class MetricSample:
 
     def key(self) -> tuple[str, str, int]:
         return (str(self.path), self.metric, self.timestamp)
-
-    @property
-    def is_text(self) -> bool:
-        return isinstance(self.value, str)
 
 
 class Clock:

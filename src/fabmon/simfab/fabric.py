@@ -100,9 +100,6 @@ class SimConfig:
     def host_path(self, host_index: int) -> str:
         return f"{self.site_of(host_index)}/farm/node{host_index:04d}"
 
-    def host_paths(self) -> list[str]:
-        return [self.host_path(i) for i in range(self.n_hosts)]
-
     def to_dict(self) -> dict:
         return {
             "n_hosts": self.n_hosts,
@@ -345,7 +342,7 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
 
     descriptors = [
         MetricDescriptor(
-            name=m, kind="gauge", default_period=config.period_s,
+            name=m, default_period=config.period_s,
             validity_ttl=config.period_s * 3)
         for m in config.metrics
     ]

@@ -11,7 +11,6 @@ from fabmon.wire.session import (  # noqa: F401
     LatestAnswer,
     ProtocolViolation,
     RequestError,
-    Subscription,
     WireHandler,
     WireServer,
 )

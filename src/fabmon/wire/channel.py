@@ -28,8 +28,8 @@ class ChannelClosed(ConnectionError):
 class MemoryChannel:
     """Client end of an in-process connection to a WireServer.
 
-    send() runs the server's handler inline; replies and pushed samples
-    land in the inbox for recv(). Safe for cross-thread use.
+    send() runs the server's handler inline; the server's reply lines land
+    in the inbox for recv(). Safe for cross-thread use.
     """
 
     def __init__(self, server: WireServer):

@@ -1,4 +1,4 @@
-"""Client side of the wire protocol: hello, publish, subscribe, query, register."""
+"""Client side of the wire protocol: hello, publish, query, register."""
 
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ class WireClient:
         self._channel = channel
         self._cids = itertools.count(1)
         self._lock = threading.Lock()
-        self._pushed: list[MetricSample] = []
         self.role = role
         self.name = name
         self.timeout = timeout
@@ -79,10 +78,9 @@ class WireClient:
                     raise ConnectionLost(f"session closed awaiting reply to {kind}")
                 decoded = codec.decode_wire_line(line)
                 if isinstance(decoded, MetricSample):
-                    self._pushed.append(decoded)
-                    continue
+                    raise ProtocolViolation(f"record line while awaiting reply to {kind}")
                 if decoded.cid != cid:
-                    # ERROR replies to pushed samples carry a null cid; skip them
+                    # ERROR replies to samples this client published carry a null cid
                     if decoded.kind == "ERROR" and decoded.cid is None:
                         continue
                     raise ProtocolViolation(f"correlation id mismatch: {decoded}")
@@ -107,13 +105,6 @@ class WireClient:
 
     # -- consumer verbs ---------------------------------------------------
 
-    def subscribe(self, prefix: ResourcePath, metric: str, expires: int) -> None:
-        self._request("SUBSCRIBE", {"prefix": prefix, "metric": metric, "expires": expires})
-
-    def unsubscribe(self, prefix: ResourcePath, metric: str) -> int:
-        reply = self._request("UNSUBSCRIBE", {"prefix": prefix, "metric": metric})
-        return reply.body.get("removed", 0)
-
     def query_latest(self, path: ResourcePath, metric: str, hops: int = 0) -> LatestResult:
         body = {"path": path, "metric": metric}
         if hops:
@@ -136,27 +127,6 @@ class WireClient:
             body["hops"] = hops
         reply = self._request("QUERY_RANGE", body)
         return reply.body.get("samples", [])
-
-    # -- pushed stream -----------------------------------------------------
-
-    def drain_samples(self, timeout: float = 0) -> list[MetricSample]:
-        """Collect samples pushed for our subscriptions (plus any buffered)."""
-        out, self._pushed = self._pushed, []
-        while True:
-            try:
-                line = self._channel.recv(timeout if not out else 0)
-            except TimeoutError:
-                break
-            if line is None:
-                break
-            decoded = codec.decode_wire_line(line)
-            if isinstance(decoded, MetricSample):
-                out.append(decoded)
-            elif decoded.kind == "ERROR" and decoded.cid is None:
-                continue
-            else:
-                raise ProtocolViolation(f"unexpected {decoded.kind} outside a request")
-        return out
 
     def close(self) -> None:
         self._channel.close()

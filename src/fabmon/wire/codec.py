@@ -127,8 +127,8 @@ def decode_sample(line: bytes) -> MetricSample:
 class Message:
     """One control message.
 
-    body holds the kind's fields as domain values: path, prefix and subtree
-    are ResourcePaths, sample is a MetricSample or None, samples a list of
+    body holds the kind's fields as domain values: path and subtree are
+    ResourcePaths, sample is a MetricSample or None, samples a list of
     MetricSamples; every other field is its JSON value.
     """
 
@@ -145,15 +145,6 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
     "HELLO": (
         ("role", "role", False),
         ("name", "str", True),
-    ),
-    "SUBSCRIBE": (
-        ("prefix", "path", True),
-        ("metric", "metric_or_star", True),
-        ("expires", "int", True),
-    ),
-    "UNSUBSCRIBE": (
-        ("prefix", "path", True),
-        ("metric", "metric_or_star", True),
     ),
     "QUERY_LATEST": (
         ("path", "path", True),
@@ -221,8 +212,6 @@ def _convert(name: str, tag: str, value: Any) -> Any:
         ok = value in PROVIDER_KINDS
     elif tag == "metric":
         ok = is_token(value)
-    elif tag == "metric_or_star":
-        ok = value == "*" or is_token(value)
     else:  # pragma: no cover - schema table bug
         raise AssertionError(f"unknown type tag {tag}")
     if not ok:

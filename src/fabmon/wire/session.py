@@ -1,10 +1,10 @@
 """Connection state machine shared by every daemon.
 
 A session opens with a HELLO exchange; the dialing peer declares its role.
-Producers push samples and manage registrations, consumers subscribe and
-query. Messages out of state order are protocol violations and end the
-session; per-message problems (bad schema, rejected sample) get an ERROR
-reply and the session stays up.
+Producers push samples and manage registrations, consumers query. The server
+sends a peer only HELLO, REPLY and ERROR lines. Messages out of state order
+are protocol violations and end the session; per-message problems (bad
+schema, rejected sample) get an ERROR reply and the session stays up.
 
 The server half is transport-agnostic: a WireServer is handed decoded lines
 by whatever is pumping the connection (an in-memory channel or a TCP reader
@@ -25,7 +25,7 @@ from fabmon.wire.codec import MalformedRecord, Message, SchemaViolation
 log = logging.getLogger(__name__)
 
 PRODUCER_KINDS = frozenset({"REGISTER", "DEREGISTER"})
-CONSUMER_KINDS = frozenset({"SUBSCRIBE", "UNSUBSCRIBE", "QUERY_LATEST", "QUERY_RANGE"})
+CONSUMER_KINDS = frozenset({"QUERY_LATEST", "QUERY_RANGE"})
 
 
 class ProtocolViolation(RuntimeError):
@@ -39,21 +39,6 @@ class RequestError(Exception):
         super().__init__(message or code)
         self.code = code
         self.message = message or code
-
-
-@dataclass(frozen=True)
-class Subscription:
-    prefix: ResourcePath
-    metric_filter: str  # token or "*"
-    expiry: int  # unix ms
-
-    def live(self, now: int) -> bool:
-        return now < self.expiry
-
-    def matches(self, sample: MetricSample) -> bool:
-        if not self.prefix.is_prefix_of(sample.path):
-            return False
-        return self.metric_filter == "*" or self.metric_filter == sample.metric
 
 
 # (sample or None, stale flag, source label)
@@ -96,7 +81,6 @@ class Connection:
     role: str | None = None  # None until HELLO
     peer_name: str = ""
     closed: bool = False
-    subscriptions: list[Subscription] = field(default_factory=list)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def push(self, line: bytes) -> bool:
@@ -112,14 +96,13 @@ class Connection:
 
 
 class WireServer:
-    """Protocol front-end for one daemon: sessions, dispatch, fan-out."""
+    """Protocol front-end for one daemon: sessions and request dispatch."""
 
     def __init__(self, handler: WireHandler, clock: Clock, name: str = "server"):
         self.handler = handler
         self.clock = clock
         self.name = name
         self._conns: list[Connection] = []
-        self._subscribed: set[int] = set()  # ids of conns holding subscriptions
         self._lock = threading.Lock()
 
     def attach(self, send: Callable[[bytes], None]) -> Connection:
@@ -131,7 +114,6 @@ class WireServer:
     def detach(self, conn: Connection) -> None:
         conn.closed = True
         with self._lock:
-            self._subscribed.discard(id(conn))
             if conn in self._conns:
                 self._conns.remove(conn)
 
@@ -215,7 +197,7 @@ class WireServer:
             return
 
         try:
-            reply = self._dispatch(conn, msg)
+            reply = self._dispatch(msg)
         except RequestError as exc:
             reply = Message("ERROR", msg.cid, {"code": exc.code, "message": exc.message})
         except Exception:
@@ -223,25 +205,8 @@ class WireServer:
             reply = Message("ERROR", msg.cid, {"code": "internal", "message": "handler failed"})
         conn.push(codec.encode_message(reply))
 
-    def _dispatch(self, conn: Connection, msg: Message) -> Message:
+    def _dispatch(self, msg: Message) -> Message:
         body = msg.body
-        if msg.kind == "SUBSCRIBE":
-            sub = Subscription(
-                prefix=body["prefix"], metric_filter=body["metric"], expiry=body["expires"])
-            conn.subscriptions.append(sub)
-            with self._lock:
-                self._subscribed.add(id(conn))
-            return Message("REPLY", msg.cid, {"ok": True})
-        if msg.kind == "UNSUBSCRIBE":
-            before = len(conn.subscriptions)
-            conn.subscriptions = [
-                s for s in conn.subscriptions
-                if not (s.prefix == body["prefix"] and s.metric_filter == body["metric"])
-            ]
-            if not conn.subscriptions:
-                with self._lock:
-                    self._subscribed.discard(id(conn))
-            return Message("REPLY", msg.cid, {"ok": True, "removed": before - len(conn.subscriptions)})
         if msg.kind == "QUERY_LATEST":
             sample, stale, source = self.handler.on_query_latest(
                 body["path"], body["metric"], body.get("hops", 0))
@@ -261,23 +226,3 @@ class WireServer:
             return Message("REPLY", msg.cid, {"ok": True, "removed": removed})
         raise RequestError("unsupported", f"no dispatch for {msg.kind}")  # pragma: no cover
 
-    # -- outbound fan-out --------------------------------------------------
-
-    def publish(self, sample: MetricSample, now: int | None = None) -> int:
-        """Push one sample to every consumer with a live matching subscription."""
-        with self._lock:
-            if not self._subscribed:
-                return 0
-        now = self.clock.now() if now is None else now
-        line = codec.encode_sample(sample)
-        delivered = 0
-        for conn in self.connections():
-            if conn.role != "consumer" or conn.closed:
-                continue
-            live = [s for s in conn.subscriptions if s.live(now)]
-            if len(live) != len(conn.subscriptions):
-                conn.subscriptions = live
-            if any(s.matches(sample) for s in live):
-                if conn.push(line):
-                    delivered += 1
-        return delivered

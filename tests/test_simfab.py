@@ -73,7 +73,7 @@ class TestBaselineRun:
         assert result.cycles >= 1
         for snap in result.snapshots:
             hosts = sorted(h["host"] for s in snap["sites"] for h in s["hosts"])
-            assert hosts == sorted(cfg.host_paths())
+            assert hosts == sorted(cfg.host_path(i) for i in range(cfg.n_hosts))
 
     def test_full_determinism(self):
         cfg = SimConfig(n_hosts=8, n_sites=2, duration_s=650, seed=33,

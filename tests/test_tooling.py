@@ -1,11 +1,14 @@
-"""The benchmark's tracer wraps fabmon's seams by name; renaming one must fail here.
+"""Checks on the source tree as a whole.
 
-perfbench/spans.py is only read, never edited: it is imported in a child
-process that writes no bytecode next to it.
+The benchmark's tracer wraps fabmon's seams by name; renaming one must fail
+here. perfbench/spans.py is only read, never edited: it is imported in a
+child process that writes no bytecode next to it. Every definition in src/
+must have a caller in src/, so no API exists only for the tests.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +50,49 @@ def test_spans_install_on_current_seams():
     proc = subprocess.run([sys.executable, "-c", _INSTALL], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# Definitions nothing in src/ names, each with the reason it stays.
+_UNREFERENCED_OK = {
+    "_ConnHandler.handle": "socketserver calls it per connection",
+    "_Handler.do_GET": "http.server dispatches GET to it",
+    "_Handler.log_message": "silences http.server's per-request stderr log",
+    "WireServer.connections": "tests use it to prove that sessions close",
+}
+
+
+def test_every_src_definition_has_a_src_caller():
+    # a definition counts as used when src/ names it outside its own body:
+    # as a name, an attribute, an import or a dispatch string
+    defs, refs = [], []
+    for path in sorted((ROOT / "src" / "fabmon").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defs.append((path, prefix + child.name, child.name,
+                                 child.lineno, child.end_lineno))
+                    visit(child, prefix + child.name + ".")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.lineno, (node.asname or node.name).split(".")[-1]))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.append((path, node.lineno, node.value))
+    unused = [
+        f"{path.relative_to(ROOT)}: {qualname}"
+        for path, qualname, name, first, last in defs
+        if not (name.startswith("__") and name.endswith("__"))  # called by the runtime
+        and qualname not in _UNREFERENCED_OK
+        and not any(n == name and not (p == path and first <= line <= last)
+                    for p, line, n in refs)
+    ]
+    assert unused == []

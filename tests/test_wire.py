@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import os
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from fabmon.wire import (
     ProtocolViolation,
     RequestError,
     SchemaViolation,
-    Subscription,
     UpstreamError,
     WireClient,
     WireHandler,
@@ -86,16 +84,10 @@ class TestSampleCodec:
 def messages() -> st.SearchStrategy[Message]:
     """Every message kind with typed bodies: ResourcePath and MetricSample values."""
     cid = st.integers(min_value=0, max_value=2**63 - 1)
-    metric_or_star = st.one_of(st.just("*"), tokens())
     path = paths()
     return st.one_of(
         st.builds(lambda c, r, n: Message("HELLO", c, {"role": r, "name": n}),
                   cid, st.sampled_from(["producer", "consumer"]), st.text(max_size=16)),
-        st.builds(lambda c, p, m, e: Message("SUBSCRIBE", c,
-                                             {"prefix": p, "metric": m, "expires": e}),
-                  cid, path, metric_or_star, st.integers(0, 2**53)),
-        st.builds(lambda c, p, m: Message("UNSUBSCRIBE", c, {"prefix": p, "metric": m}),
-                  cid, path, metric_or_star),
         st.builds(lambda c, p, m: Message("QUERY_LATEST", c, {"path": p, "metric": m}),
                   cid, path, tokens()),
         st.builds(lambda c, p, m, t0, t1: Message("QUERY_RANGE", c,
@@ -163,6 +155,7 @@ class TestMessageCodec:
         b'{"k":"QUERY_LATEST","cid":1,"path":5,"metric":"m"}\n',
         b'{"k":"QUERY_LATEST","cid":1,"path":"a","metric":"M M"}\n',
         b'{"k":"SUBSCRIBE","cid":1,"prefix":"a","metric":"*","expires":true}\n',
+        b'{"k":"SUBSCRIBE","cid":1,"prefix":"a","metric":"*","expires":10}\n',
         b'{"k":"HELLO","cid":1,"role":"boss","name":"x"}\n',
         b'{"k":"REGISTER","cid":1,"subtree":"a","kind":"oracle","endpoint":"e","ttl":60}\n',
         b'{"k":"REPLY","cid":1,"sample":{"t":1,"p":"a","m":"m","v":true,"ttl":1}}\n',
@@ -295,6 +288,37 @@ class TestSession:
         got = consumer.query_latest(ResourcePath.parse("bnl/farm/n1"), "cpu.load1")
         assert got.sample == s
 
+    @pytest.mark.parametrize("line", [
+        b'{"k":"SUBSCRIBE","cid":2,"prefix":"a","metric":"*","expires":10}\n',
+        b'{"k":"UNSUBSCRIBE","cid":2,"prefix":"a","metric":"*"}\n',
+    ])
+    def test_subscription_verbs_rejected_session_stays_up(self, line):
+        server, _ = _mem_pair()
+        client = WireClient(connect_memory(server), role="consumer", name="c")
+        client._channel.send(line)
+        error = decode_wire_line(client._channel.recv(0))
+        assert (error.kind, error.body["code"]) == ("ERROR", "schema_violation")
+        assert client.query_latest(ResourcePath.parse("a"), "m").absent
+
+    def test_record_line_while_awaiting_reply_is_violation(self):
+        class Scripted:
+            """A peer that answers HELLO, then sends a record line before its REPLY."""
+
+            def __init__(self):
+                self.inbox = [encode_message(Message("HELLO", 1, {"name": "s"}))]
+
+            def send(self, line):
+                if decode_wire_line(line).kind == "QUERY_LATEST":
+                    self.inbox += [encode_sample(make_sample()),
+                                   encode_message(Message("REPLY", 2, {"sample": None}))]
+
+            def recv(self, timeout=None):
+                return self.inbox.pop(0)
+
+        client = WireClient(Scripted(), role="consumer", name="c")
+        with pytest.raises(ProtocolViolation):
+            client.query_latest(ResourcePath.parse("a"), "m")
+
     def test_unsupported_request_gets_error(self):
         server, _ = _mem_pair()
         client = WireClient(connect_memory(server), role="producer", name="p")
@@ -317,12 +341,10 @@ class TestSession:
         server, _ = _mem_pair(handler)
         channel = connect_memory(server)
         channel.send(encode_message(Message("HELLO", 1, {"role": "consumer", "name": "x"})))
-        a, ab = ResourcePath.parse("a"), ResourcePath.parse("a/b")
+        ab = ResourcePath.parse("a/b")
         requests = [
-            Message("SUBSCRIBE", 2, {"prefix": a, "metric": "*", "expires": 10}),
             Message("QUERY_LATEST", 3, {"path": ab, "metric": "m"}),
             Message("QUERY_RANGE", 4, {"path": ab, "metric": "m", "t0": 0, "t1": 1}),
-            Message("UNSUBSCRIBE", 5, {"prefix": a, "metric": "*"}),
         ]
         for m in requests:
             channel.send(encode_message(m))
@@ -337,59 +359,6 @@ class TestSession:
         assert len(rest) == len(requests)
         assert [m.cid for m in rest] == [m.cid for m in requests]
         assert all(m.kind in ("REPLY", "ERROR") for m in rest)
-
-
-class TestSubscriptions:
-    def test_exact_delivery(self, clock):
-        server = WireServer(_StoreHandler(), clock, name="s")
-        consumer = WireClient(connect_memory(server), role="consumer", name="c")
-        consumer.subscribe(ResourcePath.parse("bnl/farm"), "*", expires=clock.now() + 60_000)
-        matching = [make_sample(ts=EPOCH_MS + i) for i in range(2)]
-        other = make_sample(path="uta/farm/n9", ts=EPOCH_MS + 5)
-        for s in matching + [other]:
-            server.publish(s)
-        assert consumer.drain_samples() == matching
-
-    def test_expiry_stops_delivery(self, clock):
-        server = WireServer(_StoreHandler(), clock, name="s")
-        consumer = WireClient(connect_memory(server), role="consumer", name="c")
-        consumer.subscribe(ResourcePath.parse("bnl"), "*", expires=clock.now() + 1_000)
-        assert server.publish(make_sample(ts=clock.now())) == 1
-        clock.advance(1_000)  # subscription lapses exactly at expiry
-        assert server.publish(make_sample(ts=clock.now())) == 0
-        assert len(consumer.drain_samples()) == 1
-
-    def test_unsubscribe(self, clock):
-        server = WireServer(_StoreHandler(), clock, name="s")
-        consumer = WireClient(connect_memory(server), role="consumer", name="c")
-        consumer.subscribe(ResourcePath.parse("bnl"), "cpu.load1", expires=clock.now() + 60_000)
-        assert consumer.unsubscribe(ResourcePath.parse("bnl"), "cpu.load1") == 1
-        assert server.publish(make_sample(ts=clock.now())) == 0
-
-    def test_filter_soundness_oracle(self, clock):
-        # randomized streams against the brute-force prefix+metric filter
-        rng = random.Random(1234)
-        seg = ["a", "b", "c"]
-        metrics = ["m1", "m2", "m3"]
-        for trial in range(30):
-            server = WireServer(_StoreHandler(), clock, name="s")
-            consumer = WireClient(connect_memory(server), role="consumer", name="c")
-            prefix = ResourcePath(tuple(rng.choice(seg) for _ in range(rng.randint(1, 2))))
-            metric_filter = rng.choice(metrics + ["*"])
-            sub = Subscription(prefix, metric_filter, clock.now() + 60_000)
-            consumer.subscribe(prefix, metric_filter, expires=sub.expiry)
-            stream = [
-                make_sample(
-                    path="/".join(rng.choice(seg) for _ in range(rng.randint(1, 3))),
-                    metric=rng.choice(metrics),
-                    ts=clock.now() + i,
-                )
-                for i in range(40)
-            ]
-            for s in stream:
-                server.publish(s)
-            expected = [s for s in stream if sub.matches(s)]
-            assert consumer.drain_samples() == expected
 
 
 class TestRequestErrors:
