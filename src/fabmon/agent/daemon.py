@@ -110,9 +110,8 @@ class Agent(WireHandler):
         self._directory = SessionPool(dial, "producer", self.server.name)
         self._registered_until = 0
         self._stop = threading.Event()
-        # simulation hooks: fault lookup for synthetic reads, produce observer
+        # simulation hook: fault lookup for synthetic reads
         self.synthetic_fault: Optional[Callable[[str, str, int], Optional[str]]] = None
-        self.on_produced: Optional[Callable[[list[MetricSample]], None]] = None
 
     # -- sampling ----------------------------------------------------------
 
@@ -253,24 +252,25 @@ class Agent(WireHandler):
 
     # -- main loop --------------------------------------------------------------
 
-    def tick(self, now: int) -> int:
-        """One scheduling step: read due sensors, publish, renew lease."""
+    def tick(self, now: int) -> list[MetricSample]:
+        """One scheduling step: read due sensors, publish, renew lease.
+
+        Returns the samples produced in this step.
+        """
         self._maybe_register(now)
         samples = self.sample_due(now)
         if samples and self.config.emit_self_metrics:
             samples += self._self_metrics(now)
         if not samples:
-            return 0
+            return samples
         self.counters.produced += len(samples)
-        if self.on_produced is not None:
-            self.on_produced(samples)
         with self._latest_lock:
             for s in samples:
                 prev = self._latest.get(s.metric)
                 if prev is None or s.timestamp >= prev.timestamp:
                     self._latest[s.metric] = s
         self.publish(samples)
-        return len(samples)
+        return samples
 
     def run(self) -> None:
         """Wall-clock loop; tick at each due time, wake at least once a second."""

@@ -175,7 +175,6 @@ def sim_config(cfg: dict) -> SimConfig:
         duration_s=sect.get("duration_s", 300),
         seed=sect.get("seed", 1),
         probe_period_s=sect.get("probe_period_s", 300),
-        probe_fanout=sect.get("probe_fanout", 16),
         spool_capacity=sect.get("spool_capacity", 256),
         faults=faults,
     )

@@ -197,10 +197,3 @@ class SimClock(Clock):
     def sleep_until(self, t_ms: int) -> None:
         with self._lock:
             self._now = max(self._now, t_ms)
-
-    def advance(self, delta_ms: int) -> int:
-        if delta_ms < 0:
-            raise ValueError("cannot move time backwards")
-        with self._lock:
-            self._now += delta_ms
-            return self._now

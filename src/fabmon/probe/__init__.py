@@ -4,9 +4,7 @@ from fabmon.probe.runner import (  # noqa: F401
     HostSpec,
     ProbeConfig,
     ProbeRunner,
-    SimBatchDriver,
     StepSpec,
     TestStep,
-    ThreadDriver,
 )
 from fabmon.probe.snapshot import IoFailure, SiteReport, Snapshot, publish_snapshot  # noqa: F401

@@ -6,7 +6,7 @@ fanout. Failures are data, never exceptions: every configured host appears
 in every cycle's snapshot with a status and a transcript.
 
 Built-in step kinds:
-    tcp_connect        reach the host's agent endpoint
+    tcp_connect        dial the host's agent endpoint and close the channel
     directory_query    expect the directory to hold a metric for this host
     consistency        evaluate the consistency rules over fetched values
     latest_freshness   bound the age of the newest sample of one metric
@@ -14,10 +14,9 @@ Built-in step kinds:
 
 from __future__ import annotations
 
-import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,7 +29,8 @@ from fabmon.wire.session import ProtocolViolation
 
 STEP_KINDS = ("tcp_connect", "directory_query", "consistency", "latest_freshness")
 
-DISPLAY_METRICS = ("cpu.load1", "sys.uptime_s", "sys.idle_s")
+# metric -> the text view's field for it, in query order
+DISPLAY_METRICS = {"cpu.load1": "cpu_load1", "sys.uptime_s": "uptime_s", "sys.idle_s": "idle_s"}
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class TestStep:
     transcript: list[str]
     started_at: int
     duration_ms: int
-    skipped: bool = False
 
     def __post_init__(self):
         if self.status in (Status.FAIL, Status.UNREACHABLE) and not self.transcript:
@@ -75,25 +74,6 @@ class HostReport:
 
 
 @dataclass
-class ConnectResult:
-    ok: bool
-    latency_ms: float
-    detail: str = ""
-
-
-class TcpProber:
-    def connect(self, endpoint: str, timeout: float) -> ConnectResult:
-        host, _, port = endpoint.rpartition(":")
-        start = time.perf_counter()
-        try:
-            sock = socket.create_connection((host, int(port)), timeout=timeout)
-            sock.close()
-        except (OSError, ValueError) as exc:
-            return ConnectResult(False, (time.perf_counter() - start) * 1000, str(exc))
-        return ConnectResult(True, (time.perf_counter() - start) * 1000)
-
-
-@dataclass
 class ProbeConfig:
     sites: dict[str, list[HostSpec]]
     sequence: list[StepSpec]
@@ -101,60 +81,14 @@ class ProbeConfig:
     cycle_period_s: int = 300
     fanout: int = 16
     directory_endpoint: str = ""
-    display_metrics: tuple = DISPLAY_METRICS
-
-
-class ThreadDriver:
-    """Real concurrency: a bounded pool, wall clock."""
-
-    def __init__(self, fanout: int):
-        self.fanout = max(1, fanout)
-
-    def run(self, hosts, run_host):
-        if self.fanout == 1 or len(hosts) <= 1:
-            return [run_host(h) for h in hosts]
-        with ThreadPoolExecutor(max_workers=self.fanout) as pool:
-            return list(pool.map(run_host, hosts))
-
-
-class SimBatchDriver:
-    """Deterministic fanout model for simulated time.
-
-    Hosts run in batches of the fanout size; each batch starts at one clock
-    reading and the clock then advances by the slowest host in the batch,
-    which is what a real pool would cost.
-    """
-
-    def __init__(self, fanout: int, clock, advance: bool = True):
-        self.fanout = max(1, fanout)
-        self.clock = clock
-        self.advance = advance
-
-    def run(self, hosts, run_host):
-        reports = []
-        for i in range(0, len(hosts), self.fanout):
-            batch = [run_host(h) for h in hosts[i:i + self.fanout]]
-            reports.extend(batch)
-            cost = max((r.duration_ms for r in batch), default=0)
-            if cost and self.advance and hasattr(self.clock, "advance"):
-                self.clock.advance(cost)
-        return reports
 
 
 class ProbeRunner:
-    def __init__(
-        self,
-        config: ProbeConfig,
-        clock: Clock,
-        dial: Callable | None = None,
-        prober=None,
-        driver=None,
-    ):
+    def __init__(self, config: ProbeConfig, clock: Clock, dial: Callable):
         self.config = config
         self.clock = clock
-        self.pool = SessionPool(dial, "consumer", "probe") if dial else None
-        self.prober = prober or TcpProber()
-        self.driver = driver or ThreadDriver(config.fanout)
+        self.dial = dial
+        self.pool = SessionPool(dial, "consumer", "probe")
         self._host = threading.local()  # the host this thread is probing
 
     # -- directory access ---------------------------------------------------
@@ -165,7 +99,7 @@ class ProbeRunner:
         Once a query of this host fails on transport, the host's later
         queries fail with the same detail and do not dial again.
         """
-        if self.pool is None or not self.config.directory_endpoint:
+        if not self.config.directory_endpoint:
             return None, "no directory configured"
         if self._host.failure:
             return None, self._host.failure
@@ -180,25 +114,23 @@ class ProbeRunner:
 
     def close(self) -> None:
         """Close the held directory sessions."""
-        if self.pool is not None:
-            self.pool.close()
+        self.pool.close()
 
     # -- steps ----------------------------------------------------------------
 
     def _run_step(self, step: StepSpec, host: HostSpec, now: int) -> TestStep:
         lines: list[str] = []
-        hint_ms = 0
 
         if step.kind == "tcp_connect":
             endpoint = step.params.get("endpoint", host.endpoint)
-            res = self.prober.connect(endpoint, step.timeout)
-            hint_ms = int(res.latency_ms)
-            if res.ok:
+            try:
+                self.dial(endpoint, timeout=step.timeout).close()
+            except (OSError, ValueError) as exc:
+                status = Status.UNREACHABLE
+                lines.append(f"{step.name}: cannot reach {endpoint}: {exc}")
+            else:
                 status = Status.PASS
                 lines.append(f"{step.name}: connected to {endpoint}")
-            else:
-                status = Status.UNREACHABLE
-                lines.append(f"{step.name}: cannot reach {endpoint}: {res.detail}")
 
         elif step.kind == "directory_query":
             metric = step.params.get("metric", "cpu.load1")
@@ -263,7 +195,7 @@ class ProbeRunner:
 
         return TestStep(
             name=step.name, status=status, transcript=lines,
-            started_at=now, duration_ms=hint_ms)
+            started_at=now, duration_ms=self.clock.now() - now)
 
     def run_test_sequence(self, host: HostSpec) -> HostReport:
         """Run all steps against one host; connect failure short-circuits."""
@@ -276,10 +208,9 @@ class ProbeRunner:
                 steps.append(TestStep(
                     name=spec.name, status=Status.UNREACHABLE,
                     transcript=[f"{spec.name}: skipped, host unreachable"],
-                    started_at=now, duration_ms=0, skipped=True))
+                    started_at=now, duration_ms=0))
                 continue
             step = self._run_step(spec, host, now)
-            step.duration_ms = max(step.duration_ms, self.clock.now() - now)
             steps.append(step)
             if spec.kind == "tcp_connect" and step.status is Status.UNREACHABLE:
                 unreachable = True
@@ -295,15 +226,11 @@ class ProbeRunner:
     def _display_values(self, host: HostSpec) -> dict:
         """The dynamic numbers the text view shows: load, uptime, idle, age."""
         values: dict = {"cpu_load1": None, "uptime_s": None, "idle_s": None, "age_s": None}
-        field_by_metric = {"cpu.load1": "cpu_load1", "sys.uptime_s": "uptime_s",
-                           "sys.idle_s": "idle_s"}
-        for metric in self.config.display_metrics:
+        for metric, name in DISPLAY_METRICS.items():
             result, _ = self._query_latest(host.path, metric)
             if result is None or result.sample is None:
                 continue
-            name = field_by_metric.get(metric)
-            if name:
-                values[name] = result.sample.value
+            values[name] = result.sample.value
             if metric == "cpu.load1":
                 values["age_s"] = round((self.clock.now() - result.sample.timestamp) / 1000.0, 3)
         return values
@@ -311,17 +238,21 @@ class ProbeRunner:
     # -- cycles -------------------------------------------------------------------
 
     def run_cycle(self, cycle: int) -> Snapshot:
+        """Probe every host, up to fanout at a time; fanout 1 runs them in order."""
         started_at = self.clock.now()
         site_reports = []
-        for site in sorted(self.config.sites):
-            hosts = sorted(self.config.sites[site], key=lambda h: h.path.components)
-            reports = self.driver.run(hosts, self.run_test_sequence)
-            site_reports.append(SiteReport(
-                site=site,
-                hosts=reports,
-                combined=combine_status(r.combined for r in reports),
-                cycle_started_at=started_at,
-            ))
+        fanout = self.config.fanout
+        with ThreadPoolExecutor(fanout) if fanout > 1 else nullcontext() as workers:
+            run = workers.map if workers else map
+            for site in sorted(self.config.sites):
+                hosts = sorted(self.config.sites[site], key=lambda h: h.path.components)
+                reports = list(run(self.run_test_sequence, hosts))
+                site_reports.append(SiteReport(
+                    site=site,
+                    hosts=reports,
+                    combined=combine_status(r.combined for r in reports),
+                    cycle_started_at=started_at,
+                ))
         return Snapshot(
             cycle=cycle,
             started_at=started_at,

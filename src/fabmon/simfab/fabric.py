@@ -29,14 +29,7 @@ from fabmon.archive.store import AppendResult, MemoryStore
 from fabmon.core import MetricDescriptor, MetricSample, ResourcePath, SimClock, Status
 from fabmon.directory.service import DirectoryService
 from fabmon.probe.checks import ConsistencyRule, default_rules
-from fabmon.probe.runner import (
-    ConnectResult,
-    HostSpec,
-    ProbeConfig,
-    ProbeRunner,
-    SimBatchDriver,
-    StepSpec,
-)
+from fabmon.probe.runner import HostSpec, ProbeConfig, ProbeRunner, StepSpec
 from fabmon.probe.snapshot import verify_rollups
 from fabmon.wire.channel import MemoryChannel, connect_memory
 from fabmon.wire.client import WireClient
@@ -60,7 +53,7 @@ class FaultSpec:
     target: str  # path prefix, canonical text
     t0_ms: int  # window start, ms from sim start
     t1_ms: int  # window end (exclusive)
-    parameter: float = 0.0  # e.g. added latency ms for slow_endpoint
+    parameter: float = 0.0  # e.g. connect latency ms for slow_endpoint
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -82,7 +75,6 @@ class SimConfig:
     duration_s: int = 300
     seed: int = 1
     probe_period_s: int = 300
-    probe_fanout: int = 16
     spool_capacity: int = 256
     faults: tuple[FaultSpec, ...] = ()
 
@@ -110,7 +102,6 @@ class SimConfig:
             "duration_s": self.duration_s,
             "seed": self.seed,
             "probe_period_s": self.probe_period_s,
-            "probe_fanout": self.probe_fanout,
             "spool_capacity": self.spool_capacity,
             "faults": [
                 {"kind": f.kind, "target": f.target, "t0_ms": f.t0_ms,
@@ -147,15 +138,20 @@ class SimNetwork:
         f = self.fault_at(host, "host_down", now_rel_ms)
         return f.t1_ms if f else now_rel_ms
 
-    def dial(self, endpoint: str, timeout: float | None = None):
+    def dial(self, endpoint: str, timeout: float = 5.0):
+        """Connect to endpoint; a slow_endpoint fault slower than timeout times out."""
         server = self._servers.get(endpoint)
         if server is None:
             raise ConnectionRefusedError(f"no listener at {endpoint}")
         host = self._host_of.get(endpoint, "")
         if not host:
             return connect_memory(server)
-        if self.host_down(host, self.clock.now() - SIM_EPOCH_MS):
+        now_rel = self.clock.now() - SIM_EPOCH_MS
+        if self.host_down(host, now_rel):
             raise ConnectionRefusedError(f"{endpoint} is down")
+        slow = self.fault_at(host, "slow_endpoint", now_rel)
+        if slow is not None and slow.parameter > timeout * 1000:
+            raise TimeoutError(f"connect to {endpoint} timed out")
         return _HostChannel(server, self, host)
 
 
@@ -175,30 +171,6 @@ class _HostChannel(MemoryChannel):
         if self._network.host_down(self._host, self._network.clock.now() - SIM_EPOCH_MS):
             raise ConnectionResetError(f"{self._host} is down")
         super().send(line)
-
-
-class SimProber:
-    """Connect checks against the simulated network, honoring fault windows."""
-
-    BASE_LATENCY_MS = 1.0
-
-    def __init__(self, network: SimNetwork):
-        self.network = network
-
-    def connect(self, endpoint: str, timeout: float) -> ConnectResult:
-        now_rel = self.network.clock.now() - SIM_EPOCH_MS
-        host = self.network._host_of.get(endpoint, "")
-        if endpoint not in self.network._servers:
-            return ConnectResult(False, self.BASE_LATENCY_MS, "no listener")
-        if host and self.network.host_down(host, now_rel):
-            return ConnectResult(False, timeout * 1000, "connection refused")
-        latency = self.BASE_LATENCY_MS
-        fault = self.network.fault_at(host, "slow_endpoint", now_rel) if host else None
-        if fault:
-            latency += fault.parameter
-            if latency > timeout * 1000:
-                return ConnectResult(False, timeout * 1000, "connect timed out")
-        return ConnectResult(True, latency)
 
 
 class _ShadowModel:
@@ -372,7 +344,6 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
         )
         agent.synthetic_fault = (
             lambda host, metric, now: _value_fault(network, host, metric, now))
-        agent.on_produced = shadow.record
         network.add(endpoint, agent.server, host=host_text)
         agents.append(agent)
         sites.setdefault(path.site, []).append(HostSpec(path=path, endpoint=endpoint))
@@ -390,12 +361,10 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
         ],
         rules=_sim_rules(config),
         cycle_period_s=config.probe_period_s,
-        fanout=config.probe_fanout,
+        fanout=1,  # one host after another: the event loop is single-threaded
         directory_endpoint="directory:9811",
     )
-    runner = ProbeRunner(
-        probe_config, clock, dial=network.dial, prober=SimProber(network),
-        driver=SimBatchDriver(config.probe_fanout, clock, advance=False))
+    runner = ProbeRunner(probe_config, clock, dial=network.dial)
 
     result = SimResult(config=config)
 
@@ -405,7 +374,7 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
     for i, agent in enumerate(agents):
         heapq.heappush(heap, (agent.schedule.next_due_time(), _AGENT, seq, i))
         seq += 1
-        agent.tick(clock.now())  # initial registration; no sensors due yet
+        shadow.record(agent.tick(clock.now()))  # initial registration; no sensors due yet
     heapq.heappush(heap, (SIM_EPOCH_MS + 1000, _SWEEP, seq, -1))
     seq += 1
     heapq.heappush(heap, (SIM_EPOCH_MS + config.probe_period_s * 1000, _PROBE, seq, -1))
@@ -424,7 +393,7 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
                 wake = SIM_EPOCH_MS + network.down_until(host_text, now_rel)
                 heapq.heappush(heap, (wake, _AGENT, seq, idx))
             else:
-                agent.tick(clock.now())
+                shadow.record(agent.tick(clock.now()))
                 heapq.heappush(heap, (agent.schedule.next_due_time(), _AGENT, seq, idx))
             seq += 1
         elif priority == _SWEEP:

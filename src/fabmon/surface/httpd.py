@@ -29,7 +29,7 @@ from fabmon.probe.snapshot import SCHEMA_VERSION
 from fabmon.wire.client import UpstreamError
 from fabmon.wire.codec import sample_to_obj
 from fabmon.wire.pool import SessionPool
-from fabmon.wire.session import ProtocolViolation
+from fabmon.wire.session import ProtocolViolation, RequestError
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             try:
                 samples = self._query_range(cfg, path, metric, max(t0, 1), t1)
-            except UpstreamError as exc:
+            except (UpstreamError, RequestError) as exc:
                 self._error(502, f"{exc.code}: {exc.message}")
                 return
             except (OSError, ProtocolViolation) as exc:
@@ -187,7 +187,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _query_range(self, cfg: SurfaceConfig, path, metric, t0, t1):
         if cfg.directory is not None:
-            return cfg.directory.query_history(path, metric, t0, t1)
+            return cfg.directory.on_query_range(path, metric, t0, t1, hops=0)
         return self.server.pool.call(  # type: ignore[attr-defined]
             cfg.directory_endpoint, lambda c: c.query_range(path, metric, t0, t1))
 

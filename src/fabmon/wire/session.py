@@ -77,9 +77,7 @@ class Connection:
     """One peer connection tracked by a WireServer."""
 
     send: Callable[[bytes], None]
-    server: "WireServer"
     role: str | None = None  # None until HELLO
-    peer_name: str = ""
     closed: bool = False
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -106,7 +104,7 @@ class WireServer:
         self._lock = threading.Lock()
 
     def attach(self, send: Callable[[bytes], None]) -> Connection:
-        conn = Connection(send=send, server=self)
+        conn = Connection(send=send)
         with self._lock:
             self._conns.append(conn)
         return conn
@@ -179,7 +177,6 @@ class WireServer:
                 self._violation(conn, "HELLO must declare a role")
                 return
             conn.role = role
-            conn.peer_name = msg.body.get("name", "")
             conn.push(codec.encode_message(Message("HELLO", msg.cid, {"name": self.name})))
             return
 

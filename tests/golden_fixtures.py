@@ -40,9 +40,8 @@ def fixed_snapshot() -> Snapshot:
         steps=[
             _step("connect", Status.UNREACHABLE,
                   ["connect: cannot reach uta/farm/n1:9810: connection refused"], T0, 5000),
-            TestStep(name="freshness", status=Status.UNREACHABLE,
-                     transcript=["freshness: skipped, host unreachable"],
-                     started_at=T0, duration_ms=0, skipped=True),
+            _step("freshness", Status.UNREACHABLE,
+                  ["freshness: skipped, host unreachable"], T0, 0),
         ],
         combined=Status.UNREACHABLE,
         values={"cpu_load1": None, "uptime_s": None, "idle_s": None, "age_s": None},

@@ -253,7 +253,7 @@ class TestOverheadLedger:
         clock = SimClock(1000)
         cpu = iter([0.0, 50.0, 50.0, 50.0])
         ledger = OverheadLedger(clock, cpu_time_ms=lambda: next(cpu))
-        clock.advance(10_000)
+        clock.sleep_until(clock.now() + 10_000)
         assert ledger.fraction() == pytest.approx(50.0 / 10_000)
 
 
@@ -435,7 +435,7 @@ class TestDeregisterOnStop:
         for _ in range(3):  # the lease is renewed every half ttl
             agent.tick(clock.now())
             assert directory.server.connections() == []
-            clock.advance(31_000)
+            clock.sleep_until(clock.now() + 31_000)
         assert dials == ["dir:1"] * 3
         assert [e["endpoint"] for e in directory.registry_dump()] == ["agent:1"]
 

@@ -145,7 +145,3 @@ class TestSimClock:
         assert clock.now() == 100
         clock.sleep_until(250)
         assert clock.now() == 250
-        clock.advance(10)
-        assert clock.now() == 260
-        with pytest.raises(ValueError):
-            clock.advance(-1)

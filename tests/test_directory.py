@@ -203,7 +203,7 @@ class TestQueryLatest:
         net.add("agent:1", WireServer(agent, clock))
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
-        clock.advance(31_000)  # past freshness (= sample ttl)
+        clock.sleep_until(clock.now() + 31_000)  # past freshness (= sample ttl)
         agent.sample = make_sample(ts=clock.now(), value=0.7, ttl=30)
         got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert got.source == "upstream" and got.sample.value == 0.7
@@ -215,7 +215,7 @@ class TestQueryLatest:
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         for step in (10_000, 19_000, 5_000):  # 34s total, crossing the 30s line
-            clock.advance(step)
+            clock.sleep_until(clock.now() + step)
             result = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
             cell = service._cache[(str(P("bnl/farm/n1")), "cpu.load1")]
             if result.source == "cache" and not result.stale:
@@ -227,7 +227,7 @@ class TestQueryLatest:
         net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1"), sample), clock))
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 6000, clock.now())
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
-        clock.advance(60_000)
+        clock.sleep_until(clock.now() + 60_000)
         net.down.add("agent:1")
         got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert got.stale and got.source == "cache" and got.sample == sample
@@ -239,10 +239,10 @@ class TestQueryLatest:
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 6000, clock.now())
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         grace_ms = service_mod.FRESHNESS_CAP_S * 1000
-        clock.advance(30_000 + grace_ms - 1)
+        clock.sleep_until(clock.now() + 30_000 + grace_ms - 1)
         service.sweep()
         assert service._cache_get(("bnl/farm/n1", "cpu.load1"), clock.now())[0] is not None
-        clock.advance(1)
+        clock.sleep_until(clock.now() + 1)
         service.sweep()
         assert service._cache == {}
         # evicted: a down upstream now gives an error, not a stale answer
@@ -257,7 +257,7 @@ class TestQueryLatest:
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 6000, clock.now())
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         net.down.add("agent:1")
-        clock.advance(30_000 + service_mod.FRESHNESS_CAP_S * 1000 - 1)
+        clock.sleep_until(clock.now() + 30_000 + service_mod.FRESHNESS_CAP_S * 1000 - 1)
         service.sweep()
         got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert got.stale and got.source == "cache" and got.sample == sample
@@ -313,7 +313,7 @@ class TestUpstreamSessions:
         agent = self._agent(clock, net, service)
         for _ in range(5):
             assert service.query_latest(P("bnl/farm/n1"), "cpu.load1").source == "upstream"
-            clock.advance(31_000)  # past freshness: the next query goes upstream
+            clock.sleep_until(clock.now() + 31_000)  # past freshness: the next query goes upstream
         assert agent.queries == 5
         assert net.dial_counts["agent:1"] == 1
 
@@ -321,7 +321,7 @@ class TestUpstreamSessions:
         net, service = _stack(clock)
         self._agent(clock, net, service)
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
-        clock.advance(31_000)
+        clock.sleep_until(clock.now() + 31_000)
         fresh = make_sample(ts=clock.now(), value=0.9, ttl=30)
         net.restart("agent:1", WireServer(_AgentStub(P("bnl/farm/n1"), fresh), clock))
         got = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
@@ -346,7 +346,7 @@ class TestUpstreamSessions:
         service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         service.query_history(P("bnl/farm/n1"), "cpu.load1", 1, 2**60)
         assert len(net.servers["agent:1"].connections()) == 1
-        clock.advance(61_000)
+        clock.sleep_until(clock.now() + 61_000)
         assert service.sweep() == 1
         assert net.servers["agent:1"].connections() == []
         assert len(importer.server.connections()) == 1  # still registered, still held
@@ -359,7 +359,7 @@ class TestUpstreamSessions:
         net, service = _stack(clock)
         agent = self._agent(clock, net, service)
         first = service.query_latest(P("bnl/farm/n1"), "cpu.load1")
-        clock.advance(31_000)
+        clock.sleep_until(clock.now() + 31_000)
         net.silent.add("agent:1")
         net.connect_wait_s = timeout_s
         started = time.monotonic()
@@ -371,7 +371,7 @@ class TestUpstreamSessions:
         assert elapsed < 1.8 * timeout_s
         assert net.servers["agent:1"].connections() == []  # the timed-out session is closed
         net.silent.clear()
-        clock.advance(31_000)
+        clock.sleep_until(clock.now() + 31_000)
         assert service.query_latest(P("bnl/farm/n1"), "cpu.load1").source == "upstream"
         assert (agent.queries, net.dial_counts["agent:1"]) == (2, 2)
 
@@ -545,7 +545,7 @@ class TestWireSurface:
         assert got.sample == sample
 
         assert producer.deregister(P("bnl/farm/n1"), "agent:1") == 1
-        clock.advance(61_000)  # let the cached answer age out too
+        clock.sleep_until(clock.now() + 61_000)  # let the cached answer age out too
         assert consumer.query_latest(P("bnl/farm/n1"), "cpu.load1").absent
 
     def test_invalid_ttl_over_the_wire(self, clock):
@@ -560,7 +560,7 @@ class TestWireSurface:
         net, service = _stack(clock)
         producer = WireClient(net.dial("dir:1"), role="producer", name="x")
         producer.register(P("bnl"), "agent", "e", 60)
-        clock.advance(30_000)
+        clock.sleep_until(clock.now() + 30_000)
         assert producer.register(P("bnl"), "agent", "e", 60) == clock.now() + 60_000
         assert [r["expires_at"] for r in service.registry_dump()] == [clock.now() + 60_000]
         producer._channel.send(b'{"k":"RENEW","cid":9,"subtree":"bnl","kind":"agent",'

@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import socket
 import threading
 import time
 
 import pytest
 
 from conftest import EPOCH_MS, make_sample
-from fabmon.core import ResourcePath, SimClock, Status, combine_status
+from fabmon.core import ResourcePath, Status, SystemClock, combine_status
 from fabmon.directory import DirectoryService
 from fabmon.probe import (
     ConsistencyRule,
@@ -17,16 +18,13 @@ from fabmon.probe import (
     IoFailure,
     ProbeConfig,
     ProbeRunner,
-    SimBatchDriver,
     StepSpec,
-    ThreadDriver,
     consistency_check,
     publish_snapshot,
 )
-from fabmon.probe.runner import ConnectResult
 from fabmon.probe.runner import TestStep as ProbeStep
 from fabmon.probe.snapshot import TRANSCRIPT_GRACE_S, snapshot_bytes, verify_rollups
-from fabmon.wire import WireServer, connect_memory
+from fabmon.wire import WireServer, connect_memory, tcp_dial
 from fabmon.wire.session import WireHandler
 from golden_fixtures import fixed_snapshot
 
@@ -44,22 +42,11 @@ class _Net:
         self.servers[endpoint] = server
 
     def dial(self, endpoint, timeout=None):
-        with self._lock:  # the thread driver dials from its workers
+        with self._lock:  # the probe dials from its worker threads
             self.dials[endpoint] = self.dials.get(endpoint, 0) + 1
         if endpoint in self.down or endpoint not in self.servers:
             raise ConnectionRefusedError(f"{endpoint} refused")
         return connect_memory(self.servers[endpoint])
-
-
-class _FakeProber:
-    def __init__(self, net, latency_ms=1.0):
-        self.net = net
-        self.latency_ms = latency_ms
-
-    def connect(self, endpoint, timeout):
-        if endpoint in self.net.down or endpoint not in self.net.servers:
-            return ConnectResult(False, timeout * 1000, "connection refused")
-        return ConnectResult(True, self.latency_ms)
 
 
 class _AgentStub(WireHandler):
@@ -101,8 +88,7 @@ def _fabric(clock, hosts, metrics=("cpu.load1",), rules=None, sequence=None):
         directory_endpoint="dir:1",
         fanout=1,
     )
-    runner = ProbeRunner(config, clock, dial=net.dial, prober=_FakeProber(net),
-                         driver=SimBatchDriver(1, clock, advance=False))
+    runner = ProbeRunner(config, clock, dial=net.dial)
     return net, directory, runner
 
 
@@ -119,9 +105,11 @@ class TestSequence:
         report = runner.run_test_sequence(runner.config.sites["bnl"][0])
         assert report.combined is Status.UNREACHABLE
         assert report.steps[0].status is Status.UNREACHABLE
-        assert all(s.skipped for s in report.steps[1:])
-        for step in report.steps:  # transcripts name the step, even skipped ones
-            assert any(step.name in line for line in step.transcript)
+        assert report.steps[0].transcript == [
+            "connect: cannot reach bnl/farm/n1:9810: bnl/farm/n1:9810 refused"]
+        for step in report.steps[1:]:
+            assert step.status is Status.UNREACHABLE
+            assert step.transcript == [f"{step.name}: skipped, host unreachable"]
 
     def test_absent_expected_metric_fails_with_key(self, clock):
         net, _, runner = _fabric(clock, ["bnl/farm/n1"], metrics=("other.metric",))
@@ -144,7 +132,7 @@ class TestDirectorySessions:
     def test_dials_at_most_fanout_times(self, clock):
         net, _, runner = _fabric(clock, self.HOSTS)
         fanout = 4
-        runner.driver = ThreadDriver(fanout)
+        runner.config.fanout = fanout
         for cycle in (1, 2):
             snap = runner.run_cycle(cycle)
             assert {h.combined for s in snap.sites for h in s.hosts} == {Status.PASS}
@@ -176,6 +164,66 @@ class TestDirectorySessions:
             lookup = host.steps[1]
             assert lookup.status is Status.FAIL
             assert any("dir:1 refused" in line for line in lookup.transcript), lookup.transcript
+
+
+class TestConnect:
+    """The connect step opens and closes one channel through the probe's dial."""
+
+    def test_each_agent_dialed_once_per_cycle(self, clock):
+        hosts = [f"s{i}/farm/n{j}" for i in range(4) for j in range(10)]
+        net, _, runner = _fabric(clock, hosts)
+        down = {f"s{i}/farm/n{i * 3}:9810" for i in range(4)}
+        net.down.update(down)
+        probe_dials = {}
+        lock = threading.Lock()
+
+        def dial(endpoint, timeout=None):
+            with lock:
+                probe_dials[endpoint] = probe_dials.get(endpoint, 0) + 1
+            return net.dial(endpoint, timeout)
+
+        runner.config.fanout = 4
+        runner = ProbeRunner(runner.config, clock, dial=dial)
+        for cycle in (1, 2):
+            snap = runner.run_cycle(cycle)
+            for host in (h for s in snap.sites for h in s.hosts):
+                endpoint = f"{host.host}:9810"
+                assert probe_dials[endpoint] == cycle
+                if endpoint in down:
+                    assert host.combined is Status.UNREACHABLE
+                    assert host.steps[0].transcript == [
+                        f"connect: cannot reach {endpoint}: {endpoint} refused"]
+                else:
+                    assert host.combined is Status.PASS
+        runner.close()
+
+    def test_over_tcp(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        spare = socket.create_server(("127.0.0.1", 0))
+        closed_port = spare.getsockname()[1]
+        spare.close()
+        up, down = f"127.0.0.1:{listener.getsockname()[1]}", f"127.0.0.1:{closed_port}"
+        config = ProbeConfig(
+            sites={"lab": [HostSpec(P("lab/farm/up"), up), HostSpec(P("lab/farm/down"), down)]},
+            sequence=[StepSpec(kind="tcp_connect", name="connect", timeout=2.0)])
+        try:
+            snap = ProbeRunner(config, SystemClock(), dial=tcp_dial).run_cycle(1)
+            by_host = {str(h.host): h for h in snap.sites[0].hosts}
+            assert by_host["lab/farm/up"].combined is Status.PASS
+            assert by_host["lab/farm/up"].steps[0].transcript == [f"connect: connected to {up}"]
+            refused = by_host["lab/farm/down"].steps[0]
+            assert refused.status is Status.UNREACHABLE
+            with pytest.raises(OSError) as os_error:  # what the OS says for this port
+                socket.create_connection(("127.0.0.1", closed_port), timeout=2.0)
+            assert refused.transcript == [f"connect: cannot reach {down}: {os_error.value}"]
+            # the check opened one connection, sent nothing on it and closed it
+            listener.settimeout(5)
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                assert conn.recv(1) == b""
+        finally:
+            listener.close()
 
 
 class TestConsistency:
@@ -311,31 +359,6 @@ class TestCycle:
             assert site.combined == combine_status(h.combined for h in site.hosts)
             for host in site.hosts:
                 assert host.combined == combine_status(s.status for s in host.steps)
-
-    def test_bounded_cycle_time_under_simulated_fanout(self):
-        # H hosts, fanout F, steps with per-step budget T: the simulated pool
-        # must finish within ceil(H/F) * steps * T plus margin
-        clock = SimClock(EPOCH_MS)
-        net = _Net()
-        directory = DirectoryService(clock, net.dial, name="dir")
-        net.add("dir:1", directory.server)
-        hosts, fanout, step_t = 24, 4, 2.0
-        sites = {"s1": [HostSpec(P(f"s1/farm/n{i:02d}"), f"e{i}") for i in range(hosts)]}
-        config = ProbeConfig(
-            sites=sites,
-            sequence=[StepSpec(kind="tcp_connect", name="connect", timeout=step_t)],
-            directory_endpoint="dir:1", fanout=fanout)
-
-        class SlowProber:
-            def connect(self, endpoint, timeout):
-                return ConnectResult(False, timeout * 1000, "slow")  # worst case
-
-        runner = ProbeRunner(config, clock, dial=net.dial, prober=SlowProber(),
-                             driver=SimBatchDriver(fanout, clock, advance=True))
-        snap = runner.run_cycle(1)
-        elapsed_ms = snap.completed_at - snap.started_at
-        budget = (hosts // fanout) * 1 * step_t * 1000
-        assert elapsed_ms <= budget + 1000
 
 
 class TestPublish:

@@ -106,7 +106,7 @@ class TestFaults:
         network = SimNetwork(clock, cfg)
         network.add("agent:1", WireServer(WireHandler(), clock), host=host)
         client = WireClient(network.dial("agent:1"), role="consumer")
-        clock.advance(150_000)
+        clock.sleep_until(clock.now() + 150_000)
         with pytest.raises(ConnectionLost):
             client.query_latest(ResourcePath.parse(host), "cpu.load1")
         with pytest.raises(ConnectionRefusedError):
@@ -197,13 +197,16 @@ class TestFaults:
                 if site["site"] == "site2":
                     assert site["status"] == "fail"
 
-    def test_slow_endpoint_times_out_probe(self):
+    @staticmethod
+    def _slow_host_statuses(connect_ms: float) -> list[str]:
+        """The slow host's status in each cycle inside its slow_endpoint window."""
         fault = FaultSpec(kind="slow_endpoint", target="site1/farm/node0000",
-                          t0_ms=60_000, t1_ms=400_000, parameter=20_000)
+                          t0_ms=60_000, t1_ms=400_000, parameter=connect_ms)
         cfg = SimConfig(n_hosts=2, n_sites=2, duration_s=400, seed=12,
                         probe_period_s=120, faults=(fault,))
         result = run_sim(cfg)
-        in_window = [
+        assert result.failures == []
+        return [
             h["status"]
             for snap in result.snapshots
             if fault.t0_ms <= snap["started_at"] - SIM_EPOCH_MS < fault.t1_ms
@@ -211,7 +214,14 @@ class TestFaults:
             for h in s["hosts"]
             if h["host"] == "site1/farm/node0000"
         ]
+
+    def test_slow_endpoint_times_out_probe(self):
+        in_window = self._slow_host_statuses(20_000)  # past the 5 s connect timeout
         assert in_window and all(st == "unreachable" for st in in_window)
+
+    def test_slow_endpoint_within_timeout_passes(self):
+        in_window = self._slow_host_statuses(4_000)
+        assert in_window and all(st == "pass" for st in in_window)
 
 
 class TestShadowChecks:

@@ -139,6 +139,23 @@ class TestHttp:
         assert dials == ["dir:1"]
         assert directory.server.connections() == []  # closed with the server
 
+    def test_metrics_errors_match_the_standalone_surface(self, stack, tmp_path):
+        # the directory's own admin listener answers as `fabmon serve` does
+        colocated, _, _ = stack
+        directory = colocated.config.directory
+        standalone = SurfaceServer(SurfaceConfig(
+            snapshot_dir=str(tmp_path), host="127.0.0.1", port=0, directory_endpoint="dir:1",
+            dial=lambda endpoint: connect_memory(directory.server))).start()
+        try:
+            for path, code in (("/metrics/uta/farm/n1/cpu.load1", "no_provider"),
+                               ("/metrics/bnl/farm/n1/cpu.load1?from=10&to=5", "invalid_range")):
+                status, body = _get(colocated.endpoint, path)
+                assert status == 502, body
+                assert json.loads(body)["error"].startswith(f"{code}: ")
+                assert _get(standalone.endpoint, path) == (status, body)
+        finally:
+            standalone.stop()
+
     def test_no_snapshot_yet_503(self, tmp_path):
         server = SurfaceServer(SurfaceConfig(
             snapshot_dir=str(tmp_path / "empty"), host="127.0.0.1", port=0)).start()

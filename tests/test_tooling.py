@@ -3,7 +3,8 @@
 The benchmark's tracer wraps fabmon's seams by name; renaming one must fail
 here. perfbench/spans.py is only read, never edited: it is imported in a
 child process that writes no bytecode next to it. Every definition in src/
-must have a caller in src/, so no API exists only for the tests.
+must have a caller in src/, and every dataclass field a reader there, so no
+API exists only for the tests.
 """
 
 from __future__ import annotations
@@ -61,12 +62,16 @@ _UNREFERENCED_OK = {
 }
 
 
+def _src_trees():
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((ROOT / "src" / "fabmon").rglob("*.py"))]
+
+
 def test_every_src_definition_has_a_src_caller():
     # a definition counts as used when src/ names it outside its own body:
     # as a name, an attribute, an import or a dispatch string
     defs, refs = [], []
-    for path in sorted((ROOT / "src" / "fabmon").rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _src_trees():
 
         def visit(node, prefix):
             for child in ast.iter_child_nodes(node):
@@ -96,3 +101,31 @@ def test_every_src_definition_has_a_src_caller():
                     for p, line, n in refs)
     ]
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_src_dataclass_field_is_read_in_src():
+    # a field counts as read when src/ loads it as an attribute or names it
+    # in a string (a getattr or a serialized key); setting it is not a read
+    fields, reads = [], set()
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.extend(
+                    (path, f"{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    unread = [f"{path.relative_to(ROOT)}: {qualname}"
+              for path, qualname, name in fields if name not in reads]
+    assert unread == []
