@@ -22,17 +22,12 @@ from fabmon.core import Clock, MetricSample, ResourcePath
 from fabmon.agent import external as external_mod
 from fabmon.agent import synthetic
 from fabmon.agent.scheduling import SensorSchedule
-from fabmon.agent.sensors import (
-    BUILTIN_METRICS,
-    ReadFailure,
-    SensorSpec,
-    SensorUnavailable,
-    read_builtin,
-)
+from fabmon.agent.sensors import ReadFailure, SensorSpec, SensorUnavailable, read_builtin
 from fabmon.agent.spool import SpoolRing
-from fabmon.wire.client import UpstreamError, WireClient
+from fabmon.wire.client import WireClient
 from fabmon.wire.pool import SessionPool, open_session
-from fabmon.wire.session import ProtocolViolation, WireHandler, WireServer
+from fabmon.wire.session import (
+    LatestResult, ProtocolViolation, RequestError, WireHandler, WireServer)
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +69,6 @@ class AgentConfig:
     seed: int = 0
     spool_capacity: int = 1024
     registration_ttl: int = 120  # seconds
-    synthetic: bool = False  # use the deterministic synthetic readers
     emit_self_metrics: bool = True
 
 
@@ -122,14 +116,10 @@ class Agent(WireHandler):
                 spec.command, spec.timeout, self.config.host_path)
             self.counters.sensor_errors += bad
             return [(s.metric, s.value) for s in samples]
-        if spec.source == "synthetic" or self.config.synthetic:
+        if spec.source == "synthetic":
             host = str(self.config.host_path)
-            if spec.source == "synthetic":
-                metrics = [d.name for d in spec.metrics]
-            else:
-                metrics = list(BUILTIN_METRICS[spec.source])
             readings = []
-            for metric in metrics:
+            for metric in (d.name for d in spec.metrics):
                 fault = self.synthetic_fault(host, metric, now) if self.synthetic_fault else None
                 if fault == "stale_metrics":
                     continue  # the metric stops updating during the fault window
@@ -233,7 +223,7 @@ class Agent(WireHandler):
         """
         try:
             return self._directory.call(self.config.directory_endpoint, call)
-        except (OSError, ProtocolViolation, UpstreamError) as exc:
+        except (OSError, ProtocolViolation, RequestError) as exc:
             log.info("directory %s failed: %s", what, exc)
             return None
         finally:
@@ -301,8 +291,8 @@ class Agent(WireHandler):
 
     def on_query_latest(self, path: ResourcePath, metric: str, hops: int):
         if path != self.config.host_path:
-            return (None, False, "agent")
-        return (self.latest(metric), False, "agent")
+            return LatestResult(None, source="agent")
+        return LatestResult(self.latest(metric), source="agent")
 
     @property
     def accounted(self) -> tuple[int, int, int, int]:

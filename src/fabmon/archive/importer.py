@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from fabmon.core import Clock, MetricSample, ResourcePath
 from fabmon.archive.store import AppendResult, InvalidRange, TelemetryStore, check_range
-from fabmon.wire.session import RequestError, WireHandler, WireServer
+from fabmon.wire.session import LatestResult, RequestError, WireHandler, WireServer
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +51,7 @@ class Importer(WireHandler):
         log.debug("rejected line: %s", error)
 
     def on_query_latest(self, path: ResourcePath, metric: str, hops: int):
-        sample = self.store.latest(path, metric)
-        return (sample, False, "archive")
+        return LatestResult(self.store.latest(path, metric), source="archive")
 
     def on_query_range(self, path: ResourcePath, metric: str, t0: int, t1: int, hops: int):
         try:

@@ -98,7 +98,6 @@ def agent_config(cfg: dict) -> AgentConfig:
         seed=sect.get("seed", 0),
         spool_capacity=sect.get("spool_capacity", 1024),
         registration_ttl=sect.get("registration_ttl_s", 120),
-        synthetic=sect.get("synthetic", False),
         emit_self_metrics=sect.get("emit_self_metrics", True),
     )
 

@@ -1,8 +1,2 @@
 from fabmon.directory.registry import InvalidTTL, Registry, RegistryEntry  # noqa: F401
-from fabmon.directory.service import (  # noqa: F401
-    CacheCell,
-    DirectoryService,
-    HopLimitExceeded,
-    NoProvider,
-    UpstreamUnreachable,
-)
+from fabmon.directory.service import CacheCell, DirectoryService  # noqa: F401

@@ -7,6 +7,11 @@ an archive. When a provider is registered but unreachable, a stale cache
 cell may be served, explicitly flagged, instead of going silent; sweep()
 drops a cell FRESHNESS_CAP_S seconds after it went stale, so the cache
 holds only keys asked for recently.
+
+A refused query raises RequestError, in process as on the wire: hop_limit,
+invalid_range and no_provider from this directory, an upstream's hop_limit
+and invalid_range unchanged, and upstream_unreachable, naming the
+endpoint, for any other upstream failure.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from typing import Callable, Optional, TypeVar
 
 from fabmon.core import Clock, MetricSample, ResourcePath
 from fabmon.directory.registry import InvalidTTL, Registry
-from fabmon.wire.client import LatestResult, UpstreamError, WireClient
+from fabmon.wire.client import WireClient
 from fabmon.wire.pool import SessionPool
-from fabmon.wire.session import ProtocolViolation, RequestError, WireHandler, WireServer
+from fabmon.wire.session import (
+    LatestResult, ProtocolViolation, RequestError, WireHandler, WireServer)
 
 log = logging.getLogger(__name__)
 
@@ -29,18 +35,6 @@ FRESHNESS_CAP_S = 300
 UPSTREAM_TIMEOUT_S = 5.0  # wait for an upstream's reply before giving up on it
 
 T = TypeVar("T")
-
-
-class UpstreamUnreachable(RuntimeError):
-    """A live registration exists but the fetch failed."""
-
-
-class NoProvider(UpstreamUnreachable):
-    """No live registration covers the queried path."""
-
-
-class HopLimitExceeded(RuntimeError):
-    pass
 
 
 @dataclass
@@ -67,13 +61,11 @@ class DirectoryService(WireHandler):
         dial: Dialer,
         name: str = "directory",
         freshness_ttls: dict[str, int] | None = None,
-        freshness_cap_s: int = FRESHNESS_CAP_S,
     ):
         self.clock = clock
         self.registry = Registry()
         self.server = WireServer(self, clock, name=name)
         self.freshness_ttls = dict(freshness_ttls or {})
-        self.freshness_cap_s = freshness_cap_s
         self._cache: dict[tuple[str, str], CacheCell] = {}
         self._cache_lock = threading.Lock()
         self._inflight: dict[tuple[str, str], threading.Event] = {}
@@ -84,7 +76,7 @@ class DirectoryService(WireHandler):
 
     def _freshness_for(self, sample: MetricSample) -> int:
         ttl = self.freshness_ttls.get(sample.metric, sample.ttl)
-        return max(1, min(ttl, self.freshness_cap_s))
+        return max(1, min(ttl, FRESHNESS_CAP_S))
 
     def _cache_get(self, key: tuple[str, str], now: int) -> tuple[Optional[CacheCell], bool]:
         """(cell, fresh) - the cell may be stale but usable as a fallback."""
@@ -102,17 +94,17 @@ class DirectoryService(WireHandler):
     # -- upstream sessions ----------------------------------------------------
 
     def _fetch(self, endpoint: str, call: Callable[[WireClient], T]) -> T:
-        """call on a pooled session to endpoint, with its failures mapped to ours."""
+        """call on a pooled session to endpoint. hop_limit and invalid_range
+        pass through; any other failure becomes upstream_unreachable."""
         try:
             return self.pool.call(endpoint, call)
-        except UpstreamError as exc:
-            if exc.code == "hop_limit":
-                raise HopLimitExceeded(exc.message) from exc
-            if exc.code == "invalid_range":
-                raise ValueError(exc.message) from exc
-            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
-        except (OSError, ProtocolViolation) as exc:
-            raise UpstreamUnreachable(f"{endpoint}: {exc}") from exc
+        except RequestError as exc:
+            if exc.code in ("hop_limit", "invalid_range"):
+                raise
+            raise RequestError("upstream_unreachable", f"{endpoint}: {exc}") from exc
+        except (OSError, ProtocolViolation, ValueError) as exc:
+            # ValueError: an endpoint that does not parse, or an undecodable reply
+            raise RequestError("upstream_unreachable", f"{endpoint}: {exc}") from exc
 
     def close(self) -> None:
         """Close every idle upstream session."""
@@ -129,7 +121,7 @@ class DirectoryService(WireHandler):
     def query_latest(self, path: ResourcePath, metric: str, hops: int = 0) -> LatestResult:
         """Latest value for (path, metric): cache, then provider, then stale."""
         if hops > MAX_HOPS:
-            raise HopLimitExceeded(f"query for {path}/{metric} exceeded {MAX_HOPS} hops")
+            raise RequestError("hop_limit", f"query for {path}/{metric} exceeded {MAX_HOPS} hops")
         now = self.clock.now()
         key = (str(path), metric)
         cell, fresh = self._cache_get(key, now)
@@ -164,12 +156,12 @@ class DirectoryService(WireHandler):
             try:
                 result = self._fetch(
                     entry.endpoint, lambda c: c.query_latest(path, metric, hops=next_hops))
-            except UpstreamUnreachable:
-                if cell is not None:
-                    log.warning("serving stale %s/%s: upstream %s unreachable",
-                                path, metric, entry.endpoint)
-                    return LatestResult(cell.sample, stale=True, source="cache")
-                raise
+            except RequestError as exc:
+                if cell is None or exc.code != "upstream_unreachable":
+                    raise
+                log.warning("serving stale %s/%s: upstream %s unreachable",
+                            path, metric, entry.endpoint)
+                return LatestResult(cell.sample, stale=True, source="cache")
             if result.sample is not None and not result.stale:
                 self._cache_put(key, result.sample, self.clock.now())
             if result.sample is None:
@@ -187,13 +179,13 @@ class DirectoryService(WireHandler):
                       hops: int = 0) -> list[MetricSample]:
         """Historical samples, always from an archive, never the cache."""
         if hops > MAX_HOPS:
-            raise HopLimitExceeded(f"history for {path}/{metric} exceeded {MAX_HOPS} hops")
+            raise RequestError("hop_limit", f"history for {path}/{metric} exceeded {MAX_HOPS} hops")
         if t0 > t1:
-            raise ValueError(f"t0 {t0} > t1 {t1}")
+            raise RequestError("invalid_range", f"t0 {t0} > t1 {t1}")
         now = self.clock.now()
         entry = self.registry.resolve(path, ("archive", "directory"), now)
         if entry is None:
-            raise NoProvider(f"no archive covers {path}")
+            raise RequestError("no_provider", f"no archive covers {path}")
         next_hops = hops + 1 if entry.provider_kind == "directory" else hops
         return self._fetch(
             entry.endpoint, lambda c: c.query_range(path, metric, t0, t1, hops=next_hops))
@@ -236,22 +228,7 @@ class DirectoryService(WireHandler):
         return self.registry.deregister(subtree, endpoint)
 
     def on_query_latest(self, path, metric, hops):
-        try:
-            result = self.query_latest(path, metric, hops)
-        except HopLimitExceeded as exc:
-            raise RequestError("hop_limit", str(exc)) from None
-        except UpstreamUnreachable as exc:
-            raise RequestError("upstream_unreachable", str(exc)) from None
-        return (result.sample, result.stale, result.source)
+        return self.query_latest(path, metric, hops)
 
     def on_query_range(self, path, metric, t0, t1, hops):
-        try:
-            return self.query_history(path, metric, t0, t1, hops)
-        except HopLimitExceeded as exc:
-            raise RequestError("hop_limit", str(exc)) from None
-        except NoProvider as exc:
-            raise RequestError("no_provider", str(exc)) from None
-        except UpstreamUnreachable as exc:
-            raise RequestError("upstream_unreachable", str(exc)) from None
-        except ValueError as exc:
-            raise RequestError("invalid_range", str(exc)) from None
+        return self.query_history(path, metric, t0, t1, hops)

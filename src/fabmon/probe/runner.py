@@ -23,9 +23,8 @@ from typing import Callable, Optional
 from fabmon.core import Clock, MetricSample, ResourcePath, Status, combine_status
 from fabmon.probe.checks import ConsistencyRule, consistency_check
 from fabmon.probe.snapshot import SiteReport, Snapshot
-from fabmon.wire.client import LatestResult, UpstreamError
 from fabmon.wire.pool import SessionPool
-from fabmon.wire.session import ProtocolViolation
+from fabmon.wire.session import LatestResult, ProtocolViolation, RequestError
 
 STEP_KINDS = ("tcp_connect", "directory_query", "consistency", "latest_freshness")
 
@@ -106,8 +105,8 @@ class ProbeRunner:
         try:
             return self.pool.call(
                 self.config.directory_endpoint, lambda c: c.query_latest(path, metric)), ""
-        except UpstreamError as exc:
-            return None, f"{exc.code}: {exc.message}"
+        except RequestError as exc:
+            return None, str(exc)
         except (OSError, ProtocolViolation) as exc:
             self._host.failure = str(exc)
             return None, self._host.failure

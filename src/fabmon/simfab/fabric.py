@@ -34,7 +34,7 @@ from fabmon.probe.snapshot import verify_rollups
 from fabmon.wire.channel import MemoryChannel, connect_memory
 from fabmon.wire.client import WireClient
 from fabmon.wire.codec import encode_sample
-from fabmon.wire.session import WireServer
+from fabmon.wire.session import ConnectionLost, WireServer
 
 SIM_EPOCH_MS = 1_600_000_000_000  # fixed start so day buckets never drift
 
@@ -169,7 +169,7 @@ class _HostChannel(MemoryChannel):
 
     def send(self, line: bytes) -> None:
         if self._network.host_down(self._host, self._network.clock.now() - SIM_EPOCH_MS):
-            raise ConnectionResetError(f"{self._host} is down")
+            raise ConnectionLost(f"{self._host} is down")
         super().send(line)
 
 
@@ -336,7 +336,6 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
                 listen_endpoint=endpoint,
                 seed=config.seed,
                 spool_capacity=config.spool_capacity,
-                synthetic=True,
                 emit_self_metrics=False,
             ),
             clock,

@@ -29,9 +29,9 @@ from fabmon.simfab.fabric import run_sim
 from fabmon.surface.httpd import SurfaceConfig, SurfaceServer
 from fabmon.surface.textview import render_text_status
 from fabmon.wire.channel import TcpWireServer, parse_endpoint, tcp_dial
-from fabmon.wire.client import UpstreamError, WireClient
+from fabmon.wire.client import WireClient
 from fabmon.wire.pool import SessionPool
-from fabmon.wire.session import ProtocolViolation
+from fabmon.wire.session import ProtocolViolation, RequestError
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threa
         try:
             pool.call(directory_endpoint, lambda client: [call(client, s) for s in subtrees])
             return True
-        except (OSError, ProtocolViolation, UpstreamError) as exc:
+        except (OSError, ProtocolViolation, RequestError) as exc:
             log.info("directory %s: %s", directory_endpoint, exc)
             return False
 
@@ -148,7 +148,6 @@ def cmd_directory_run(args) -> int:
     service = DirectoryService(
         clock, tcp_dial,
         freshness_ttls={k: int(v) for k, v in sect.get("freshness_ttls", {}).items()},
-        freshness_cap_s=sect.get("freshness_cap_s", 300),
     )
     host, port = parse_endpoint(sect.get("listen", eps["directory"]))
     admin_host, admin_port = parse_endpoint(sect.get("http", eps["directory_http"]))
@@ -281,7 +280,7 @@ def cmd_query(args) -> int:
                     print("absent")
         finally:
             client.close()
-    except (UpstreamError, OSError) as exc:
+    except (RequestError, OSError) as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -26,7 +26,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from fabmon.core import MalformedPath, ResourcePath
 from fabmon.probe.snapshot import SCHEMA_VERSION
-from fabmon.wire.client import UpstreamError
 from fabmon.wire.codec import sample_to_obj
 from fabmon.wire.pool import SessionPool
 from fabmon.wire.session import ProtocolViolation, RequestError
@@ -173,10 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             try:
                 samples = self._query_range(cfg, path, metric, max(t0, 1), t1)
-            except (UpstreamError, RequestError) as exc:
-                self._error(502, f"{exc.code}: {exc.message}")
-                return
-            except (OSError, ProtocolViolation) as exc:
+            except (OSError, ProtocolViolation, RequestError) as exc:
                 self._error(502, str(exc))
                 return
             self._json(200, {"path": path_text, "metric": metric,
@@ -187,7 +183,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _query_range(self, cfg: SurfaceConfig, path, metric, t0, t1):
         if cfg.directory is not None:
-            return cfg.directory.on_query_range(path, metric, t0, t1, hops=0)
+            return cfg.directory.query_history(path, metric, t0, t1)
         return self.server.pool.call(  # type: ignore[attr-defined]
             cfg.directory_endpoint, lambda c: c.query_range(path, metric, t0, t1))
 

@@ -8,23 +8,18 @@ from fabmon.wire.codec import (  # noqa: F401
     encode_sample,
 )
 from fabmon.wire.session import (  # noqa: F401
-    LatestAnswer,
+    ConnectionLost,
+    LatestResult,
     ProtocolViolation,
     RequestError,
     WireHandler,
     WireServer,
 )
 from fabmon.wire.channel import (  # noqa: F401
-    ChannelClosed,
     MemoryChannel,
     TcpChannel,
     TcpWireServer,
     connect_memory,
     tcp_dial,
 )
-from fabmon.wire.client import (  # noqa: F401
-    ConnectionLost,
-    LatestResult,
-    UpstreamError,
-    WireClient,
-)
+from fabmon.wire.client import WireClient  # noqa: F401

@@ -1,7 +1,8 @@
 """Transports: in-memory channels for tests/simulation, TCP for deployment.
 
 Both present the same tiny interface: send(line), recv(timeout) -> line or
-None on EOF, close(). The in-memory channel dispatches synchronously into a
+None on EOF, close(). A send on a closed or broken channel raises
+ConnectionLost. The in-memory channel dispatches synchronously into a
 WireServer, which keeps single-threaded tests and the simulated fabric
 fully deterministic.
 """
@@ -14,15 +15,11 @@ import socketserver
 import threading
 from collections import deque
 
-from fabmon.wire.session import Connection, WireServer
+from fabmon.wire.session import Connection, ConnectionLost, WireServer
 
 log = logging.getLogger(__name__)
 
 MAX_LINE = 1 << 20  # 1 MiB per record line is already absurd
-
-
-class ChannelClosed(ConnectionError):
-    pass
 
 
 class MemoryChannel:
@@ -46,7 +43,7 @@ class MemoryChannel:
 
     def send(self, line: bytes) -> None:
         if self._closed or self._conn.closed:
-            raise ChannelClosed("channel is closed")
+            raise ConnectionLost("channel is closed")
         self._server.handle_line(self._conn, line)
         if self._conn.closed:
             # server terminated the session; drain what was sent, then EOF
@@ -90,13 +87,13 @@ class TcpChannel:
 
     def send(self, line: bytes) -> None:
         if self._closed:
-            raise ChannelClosed("channel is closed")
+            raise ConnectionLost("channel is closed")
         try:
             with self._wlock:
                 self._sock.sendall(line)
         except OSError as exc:
             self._closed = True
-            raise ChannelClosed(str(exc)) from exc
+            raise ConnectionLost(str(exc)) from exc
 
     def recv(self, timeout: float | None = None) -> bytes | None:
         if self._closed:

@@ -1,44 +1,19 @@
-"""Client side of the wire protocol: hello, publish, query, register."""
+"""Client side of the wire protocol: hello, publish, query, register.
+
+An ERROR reply raises the RequestError the handler raised, with its code
+and message. A dead transport raises an OSError: ConnectionLost when the
+session ended, TimeoutError when no reply came in time.
+"""
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Optional
 
 from fabmon.core import MetricSample, ResourcePath
 from fabmon.wire import codec
 from fabmon.wire.codec import Message
-from fabmon.wire.session import ProtocolViolation
-
-
-class ConnectionLost(ConnectionError):
-    """Transport died or the server closed the session."""
-
-
-class ReplyTimeout(ConnectionLost):
-    """No reply within the timeout; the peer may be hung, not gone."""
-
-
-class UpstreamError(Exception):
-    """ERROR reply from the server, keyed by its code."""
-
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(f"{code}: {message}" if message else code)
-        self.code = code
-        self.message = message
-
-
-@dataclass(frozen=True)
-class LatestResult:
-    sample: Optional[MetricSample]
-    stale: bool = False
-    source: str = "none"  # cache | upstream | none
-
-    @property
-    def absent(self) -> bool:
-        return self.sample is None
+from fabmon.wire.session import ConnectionLost, LatestResult, ProtocolViolation, RequestError
 
 
 class WireClient:
@@ -59,21 +34,15 @@ class WireClient:
             raise ProtocolViolation(f"expected HELLO reply, got {reply.kind}")
         self.server_name = reply.body.get("name", "")
 
-    def _send(self, line: bytes) -> None:
-        try:
-            self._channel.send(line)
-        except (ConnectionError, OSError) as exc:
-            raise ConnectionLost(str(exc)) from exc
-
     def _request(self, kind: str, body: dict) -> Message:
         with self._lock:
             cid = next(self._cids)
-            self._send(codec.encode_message(Message(kind, cid, body)))
+            self._channel.send(codec.encode_message(Message(kind, cid, body)))
             while True:
                 try:
                     line = self._channel.recv(self.timeout)
                 except TimeoutError as exc:
-                    raise ReplyTimeout(f"no reply to {kind}: {exc}") from None
+                    raise TimeoutError(f"no reply to {kind}: {exc}") from None
                 if line is None:
                     raise ConnectionLost(f"session closed awaiting reply to {kind}")
                 decoded = codec.decode_wire_line(line)
@@ -85,14 +54,14 @@ class WireClient:
                         continue
                     raise ProtocolViolation(f"correlation id mismatch: {decoded}")
                 if decoded.kind == "ERROR":
-                    raise UpstreamError(decoded.body["code"], decoded.body.get("message", ""))
+                    raise RequestError(decoded.body["code"], decoded.body.get("message", ""))
                 return decoded
 
     # -- producer verbs ---------------------------------------------------
 
     def publish(self, sample: MetricSample) -> None:
         with self._lock:
-            self._send(codec.encode_sample(sample))
+            self._channel.send(codec.encode_sample(sample))
 
     def register(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
         reply = self._request("REGISTER", {

@@ -2,7 +2,9 @@
 
 A SessionPool keeps idle sessions per endpoint. A call checks one out,
 runs on it and checks it back in, so a peer pair costs one dial and one
-HELLO for as long as the session lives, not one per request.
+HELLO for as long as the session lives, not one per request. A call raises
+what the session raised: RequestError for an ERROR reply, an OSError or
+ProtocolViolation for a failed session.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, TypeVar
 
-from fabmon.wire.client import ReplyTimeout, UpstreamError, WireClient
-from fabmon.wire.session import ProtocolViolation
+from fabmon.wire.client import WireClient
+from fabmon.wire.session import ProtocolViolation, RequestError
 
 T = TypeVar("T")
 
@@ -47,7 +49,7 @@ class SessionPool:
         requests, and a federation cycle re-enters a directory's pool on the
         same thread. So an endpoint never has more sessions than it once had
         calls in flight. A session is returned after any reply, ERROR
-        included (the UpstreamError still propagates). One that fails is
+        included (the RequestError still propagates). One that fails is
         closed, since a late reply would put its correlation ids out of
         step, and so are the endpoint's idle ones. Only when a reused
         session ended (EOF, reset, failed send) has the peer likely
@@ -64,13 +66,13 @@ class SessionPool:
                 client = open_session(self.dial, endpoint, self.role, self.name, self.timeout)
             try:
                 result = fn(client)
-            except UpstreamError:
+            except RequestError:
                 self._checkin(endpoint, client)
                 raise
             except (OSError, ProtocolViolation) as exc:
                 client.close()
                 self.close(keep=lambda e: e != endpoint)
-                if reused and not isinstance(exc, (ReplyTimeout, TimeoutError, ProtocolViolation)):
+                if reused and not isinstance(exc, (TimeoutError, ProtocolViolation)):
                     client = None
                     continue
                 raise

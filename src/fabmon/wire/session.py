@@ -32,17 +32,34 @@ class ProtocolViolation(RuntimeError):
     """Message arrived out of state order; the session is closed."""
 
 
+class ConnectionLost(ConnectionError):
+    """Transport died or the server closed the session."""
+
+
 class RequestError(Exception):
-    """Handler-level rejection of one request; becomes an ERROR reply."""
+    """A refused request, on both ends of the wire.
+
+    A handler raises it to send ERROR with this code and message; the
+    client raises the same class, code and message when that ERROR arrives.
+    """
 
     def __init__(self, code: str, message: str = ""):
-        super().__init__(message or code)
         self.code = code
         self.message = message or code
+        super().__init__(f"{code}: {self.message}")
 
 
-# (sample or None, stale flag, source label)
-LatestAnswer = tuple[Optional[MetricSample], bool, str]
+@dataclass(frozen=True)
+class LatestResult:
+    """A latest answer: what a handler returns and what a client gets back."""
+
+    sample: Optional[MetricSample]
+    stale: bool = False
+    source: str = "none"  # cache | upstream | agent | archive | none
+
+    @property
+    def absent(self) -> bool:
+        return self.sample is None
 
 
 class WireHandler:
@@ -54,7 +71,7 @@ class WireHandler:
     def on_sample(self, sample: MetricSample) -> None:
         raise RequestError("unsupported", "this endpoint does not accept samples")
 
-    def on_query_latest(self, path: ResourcePath, metric: str, hops: int) -> LatestAnswer:
+    def on_query_latest(self, path: ResourcePath, metric: str, hops: int) -> LatestResult:
         raise RequestError("unsupported", "this endpoint does not answer latest queries")
 
     def on_query_range(
@@ -205,11 +222,11 @@ class WireServer:
     def _dispatch(self, msg: Message) -> Message:
         body = msg.body
         if msg.kind == "QUERY_LATEST":
-            sample, stale, source = self.handler.on_query_latest(
-                body["path"], body["metric"], body.get("hops", 0))
-            if sample is None:
+            result = self.handler.on_query_latest(body["path"], body["metric"], body.get("hops", 0))
+            if result.sample is None:
                 return Message("REPLY", msg.cid, {"sample": None})
-            return Message("REPLY", msg.cid, {"sample": sample, "stale": stale, "source": source})
+            return Message("REPLY", msg.cid, {
+                "sample": result.sample, "stale": result.stale, "source": result.source})
         if msg.kind == "QUERY_RANGE":
             samples = self.handler.on_query_range(
                 body["path"], body["metric"], body["t0"], body["t1"], body.get("hops", 0))

@@ -91,7 +91,7 @@ class TestSchedule:
         def trace(host):
             agent = Agent(AgentConfig(host_path=ResourcePath.parse(host),
                                       sensors=[_synth_spec(period=30, jitter=0.1)],
-                                      importer_endpoint="imp:1", seed=3, synthetic=True),
+                                      importer_endpoint="imp:1", seed=3),
                           SimClock(EPOCH_MS), dial=None)
             out = []
             for _ in range(20):
@@ -140,7 +140,6 @@ def _make_agent(clock, net, spool=16, period=30, jitter=0.0):
         importer_endpoint="imp:1",
         seed=3,
         spool_capacity=spool,
-        synthetic=True,
         emit_self_metrics=False,
     )
     return Agent(config, clock, dial=net.dial)
@@ -229,17 +228,15 @@ class TestAgentTick:
         clock.sleep_until(agent.schedule.next_due_time())
         agent.tick(clock.now())
         assert agent.latest("cpu.load1") is not None
-        sample, stale, source = agent.on_query_latest(HOST, "cpu.load1", 0)
-        assert sample == agent.latest("cpu.load1")
-        other, _, _ = agent.on_query_latest(ResourcePath.parse("uta/x"), "cpu.load1", 0)
-        assert other is None
+        assert agent.on_query_latest(HOST, "cpu.load1", 0).sample == agent.latest("cpu.load1")
+        assert agent.on_query_latest(ResourcePath.parse("uta/x"), "cpu.load1", 0).absent
 
     def test_self_metrics_exported(self, clock):
         importer = Importer(MemoryStore(), clock)
         net = _FlakyNet(importer)
         config = AgentConfig(
             host_path=HOST, sensors=[_synth_spec()], importer_endpoint="imp:1",
-            synthetic=True, emit_self_metrics=True)
+            emit_self_metrics=True)
         agent = Agent(config, clock, dial=net.dial, cpu_time_ms=lambda: 0.0)
         clock.sleep_until(agent.schedule.next_due_time())
         agent.tick(clock.now())
@@ -292,9 +289,13 @@ class TestRealSensors:
 
         server = TcpWireServer(WireServer(WireHandler(), clock, name="peer")).start()
         try:
+            # the reading is one dial + HELLO, so it fits inside the call that
+            # made it; a wall-clock bound would fail on a loaded machine
+            start = time.perf_counter()
             readings = dict(read_builtin(
                 "net_rtt", {"peer": server.endpoint, "dial": tcp_dial}))
-            assert 0 < readings["net.rtt_ms"] < 100
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            assert 0 < readings["net.rtt_ms"] <= elapsed_ms
         finally:
             server.stop()
 
@@ -394,7 +395,7 @@ class TestDeregisterOnStop:
     def _agent(self, clock, dial):
         config = AgentConfig(host_path=HOST, sensors=[_synth_spec()],
                              directory_endpoint="dir:1", listen_endpoint="agent:1",
-                             synthetic=True, emit_self_metrics=False)
+                             emit_self_metrics=False)
         return Agent(config, clock, dial=dial)
 
     def test_stop_drops_the_lease_at_once(self, clock):

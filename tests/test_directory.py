@@ -12,15 +12,9 @@ from conftest import EPOCH_MS, make_sample
 from fabmon.core import ResourcePath
 from fabmon.archive import Importer, MemoryStore
 import fabmon.directory.service as service_mod
-from fabmon.directory import (
-    DirectoryService,
-    HopLimitExceeded,
-    InvalidTTL,
-    NoProvider,
-    Registry,
-    UpstreamUnreachable,
-)
-from fabmon.wire import MemoryChannel, UpstreamError, WireClient, WireServer, decode_wire_line
+from fabmon.directory import DirectoryService, InvalidTTL, Registry
+from fabmon.wire import (
+    LatestResult, MemoryChannel, RequestError, WireClient, WireServer, decode_wire_line, tcp_dial)
 from fabmon.wire.session import WireHandler
 
 P = ResourcePath.parse
@@ -86,8 +80,8 @@ class _AgentStub(WireHandler):
     def on_query_latest(self, path, metric, hops):
         self.queries += 1
         if path == self.path and self.sample is not None and self.sample.metric == metric:
-            return (self.sample, False, "agent")
-        return (None, False, "agent")
+            return LatestResult(self.sample, source="agent")
+        return LatestResult(None, source="agent")
 
 
 def _count_calls(handler, method):
@@ -247,7 +241,7 @@ class TestQueryLatest:
         assert service._cache == {}
         # evicted: a down upstream now gives an error, not a stale answer
         net.down.add("agent:1")
-        with pytest.raises(UpstreamUnreachable):
+        with pytest.raises(RequestError, match="^upstream_unreachable: "):
             service.query_latest(P("bnl/farm/n1"), "cpu.load1")
 
     def test_stale_serve_within_the_grace_period_survives_sweep(self, clock):
@@ -267,7 +261,7 @@ class TestQueryLatest:
         net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1")), clock))
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
         net.down.add("agent:1")
-        with pytest.raises(UpstreamUnreachable):
+        with pytest.raises(RequestError, match="^upstream_unreachable: "):
             service.query_latest(P("bnl/farm/n1"), "cpu.load1")
 
     def test_coalesced_concurrent_fetches(self, clock):
@@ -279,7 +273,7 @@ class TestQueryLatest:
             def on_query_latest(self, path, metric, hops):
                 calls.append(1)
                 gate.wait(5)
-                return (make_sample(ts=clock.now()), False, "agent")
+                return LatestResult(make_sample(ts=clock.now()), source="agent")
 
         net.add("agent:1", WireServer(SlowAgent(), clock))
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
@@ -333,7 +327,7 @@ class TestUpstreamSessions:
         net.add("agent:1", WireServer(WireHandler(), clock))  # answers ERROR unsupported
         service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
         for _ in range(3):
-            with pytest.raises(UpstreamUnreachable):
+            with pytest.raises(RequestError, match="^upstream_unreachable: "):
                 service.query_latest(P("bnl/farm/n1"), "cpu.load1")
         assert net.dial_counts["agent:1"] == 1
 
@@ -446,12 +440,18 @@ class TestHistoryAndProbe:
 
     def test_no_archive_is_error(self, clock):
         _, service = _stack(clock)
-        with pytest.raises(NoProvider):
+        with pytest.raises(RequestError, match="^no_provider: "):
+            service.query_history(P("bnl/farm/n1"), "cpu.load1", 1, 2)
+
+    def test_unparsable_archive_endpoint_is_unreachable(self, clock):
+        service = DirectoryService(clock, tcp_dial, name="dir")
+        service.registry.register(P("bnl"), "archive", "arch", 600, clock.now())
+        with pytest.raises(RequestError, match="^upstream_unreachable: arch: endpoint must be"):
             service.query_history(P("bnl/farm/n1"), "cpu.load1", 1, 2)
 
     def test_invalid_range(self, clock):
         net, service, importer = self._with_archive(clock)
-        with pytest.raises(ValueError):
+        with pytest.raises(RequestError, match="^invalid_range: "):
             service.query_history(P("bnl/farm/n1"), "cpu.load1", 10, 5)
 
 
@@ -483,7 +483,9 @@ class TestFederation:
         _, parent, _, _ = self._tree(clock)
         assert parent.query_latest(P("slac/farm/n1"), "cpu.load1").absent
 
-    def test_cycle_hits_hop_limit(self, clock):
+    @staticmethod
+    def _cycle(clock):
+        """Directories a and b, each routing bnl to the other."""
         net = _Net()
         a = DirectoryService(clock, net.dial, name="a")
         b = DirectoryService(clock, net.dial, name="b")
@@ -491,24 +493,22 @@ class TestFederation:
         net.add("b:1", b.server)
         a.registry.register(P("bnl"), "directory", "b:1", 600, clock.now())
         b.registry.register(P("bnl"), "directory", "a:1", 600, clock.now())
-        with pytest.raises(HopLimitExceeded):
+        return net, a
+
+    def test_cycle_hits_hop_limit(self, clock):
+        _, a = self._cycle(clock)
+        with pytest.raises(RequestError, match="^hop_limit: "):
             a.query_latest(P("bnl/farm/n1"), "cpu.load1")
 
     def test_cycle_over_held_sessions_hits_hop_limit(self, clock):
-        net = _Net()
-        a = DirectoryService(clock, net.dial, name="a")
-        b = DirectoryService(clock, net.dial, name="b")
-        net.add("a:1", a.server)
-        net.add("b:1", b.server)
-        a.registry.register(P("bnl"), "directory", "b:1", 600, clock.now())
-        b.registry.register(P("bnl"), "directory", "a:1", 600, clock.now())
+        net, a = self._cycle(clock)
         outcomes, dials = [], []
 
         def query():
             try:
                 a.query_latest(P("bnl/farm/n1"), "cpu.load1")
-            except HopLimitExceeded:
-                outcomes.append("hop_limit")
+            except RequestError as exc:
+                outcomes.append(exc.code)
 
         for _ in range(2):
             thread = threading.Thread(target=query, daemon=True)
@@ -518,6 +518,40 @@ class TestFederation:
             dials.append(dict(net.dial_counts))
         assert outcomes == ["hop_limit", "hop_limit"]
         assert dials[0] == dials[1]  # the second pass ran on sessions the first left idle
+
+    @staticmethod
+    def _ask(net, endpoint, request: bytes) -> bytes:
+        """One consumer request over the wire; returns the reply line as sent."""
+        channel = net.dial(endpoint)
+        channel.send(b'{"k":"HELLO","cid":1,"role":"consumer","name":"c"}\n')
+        channel.recv(timeout=0)
+        channel.send(request)
+        return channel.recv(timeout=0)
+
+    def test_child_error_reaches_the_consumer_named(self, clock):
+        # the child's own refusal travels inside the parent's upstream_unreachable
+        net = _Net()
+        parent = DirectoryService(clock, net.dial, name="parent")
+        child = DirectoryService(clock, net.dial, name="child")
+        net.add("parent:1", parent.server)
+        net.add("child:1", child.server)
+        parent.registry.register(P("bnl"), "directory", "child:1", 600, clock.now())
+        reply = self._ask(net, "parent:1", b'{"k":"QUERY_RANGE","cid":2,"path":"bnl/farm/n1",'
+                                           b'"metric":"cpu.load1","t0":1,"t1":2}\n')
+        assert reply == (b'{"k":"ERROR","cid":2,"code":"upstream_unreachable",'
+                         b'"message":"child:1: no_provider: no archive covers bnl/farm/n1"}\n')
+
+    @pytest.mark.parametrize("request_line, message", [
+        (b'{"k":"QUERY_LATEST","cid":2,"path":"bnl/farm/n1","metric":"cpu.load1"}\n',
+         b"query for bnl/farm/n1/cpu.load1 exceeded 8 hops"),
+        (b'{"k":"QUERY_RANGE","cid":2,"path":"bnl/farm/n1","metric":"cpu.load1","t0":1,"t1":2}\n',
+         b"history for bnl/farm/n1/cpu.load1 exceeded 8 hops"),
+    ])
+    def test_cycle_hop_limit_reaches_the_consumer_unchanged(self, clock, request_line, message):
+        # every hop passes the innermost directory's hop_limit on as it came
+        net, a = self._cycle(clock)
+        reply = self._ask(net, "a:1", request_line)
+        assert reply == b'{"k":"ERROR","cid":2,"code":"hop_limit","message":"' + message + b'"}\n'
 
     def test_history_federates(self, clock):
         net, parent, bnl, uta = self._tree(clock)
@@ -551,9 +585,8 @@ class TestWireSurface:
     def test_invalid_ttl_over_the_wire(self, clock):
         net, service = _stack(clock)
         producer = WireClient(net.dial("dir:1"), role="producer", name="x")
-        with pytest.raises(UpstreamError) as err:
+        with pytest.raises(RequestError, match="^invalid_ttl: "):
             producer.register(P("bnl"), "agent", "e", 3)
-        assert err.value.code == "invalid_ttl"
 
     def test_renew_over_the_wire_extends_in_place(self, clock):
         # REGISTER renews in place; there is no RENEW verb on the wire

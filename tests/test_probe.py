@@ -25,7 +25,7 @@ from fabmon.probe import (
 from fabmon.probe.runner import TestStep as ProbeStep
 from fabmon.probe.snapshot import TRANSCRIPT_GRACE_S, snapshot_bytes, verify_rollups
 from fabmon.wire import WireServer, connect_memory, tcp_dial
-from fabmon.wire.session import WireHandler
+from fabmon.wire.session import LatestResult, WireHandler
 from golden_fixtures import fixed_snapshot
 
 P = ResourcePath.parse
@@ -56,8 +56,8 @@ class _AgentStub(WireHandler):
 
     def on_query_latest(self, path, metric, hops):
         if path == self.path:
-            return (self.samples.get(metric), False, "agent")
-        return (None, False, "agent")
+            return LatestResult(self.samples.get(metric), source="agent")
+        return LatestResult(None, source="agent")
 
 
 def _fabric(clock, hosts, metrics=("cpu.load1",), rules=None, sequence=None):

@@ -4,13 +4,15 @@ The benchmark's tracer wraps fabmon's seams by name; renaming one must fail
 here. perfbench/spans.py is only read, never edited: it is imported in a
 child process that writes no bytecode next to it. Every definition in src/
 must have a caller in src/, and every dataclass field a reader there, so no
-API exists only for the tests.
+API exists only for the tests. The error codes src/ sends are the ones
+docs/protocol.md lists.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,3 +131,21 @@ def test_every_src_dataclass_field_is_read_in_src():
     unread = [f"{path.relative_to(ROOT)}: {qualname}"
               for path, qualname, name in fields if name not in reads]
     assert unread == []
+
+
+def test_error_codes_sent_are_the_documented_ones():
+    # a code is sent as RequestError's first argument or as a {"code": ...} body
+    sent = set()
+    for _, tree in _src_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "RequestError" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                sent.add(node.args[0].value)
+            elif isinstance(node, ast.Dict):
+                sent.update(v.value for k, v in zip(node.keys, node.values)
+                            if isinstance(k, ast.Constant) and k.value == "code"
+                            and isinstance(v, ast.Constant))
+    doc = (ROOT / "docs" / "protocol.md").read_text(encoding="utf-8")
+    listed = doc.split("Error codes in use:", 1)[1].split("\n\n", 1)[0]
+    assert sent == set(re.findall(r"`(\w+)`", listed))
