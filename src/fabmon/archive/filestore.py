@@ -121,22 +121,28 @@ class FileSegmentStore(TelemetryStore):
             fh = open(name, "ab", buffering=0)
         with fh:
             written = fh.write(line)
-        if written != len(line):
-            raise OSError(f"short write to {name}: {written} of {len(line)} bytes")
+            if written != len(line):
+                fh.truncate(fh.tell() - written)  # or the next line glues onto the partial one
+                raise OSError(f"short write to {name}: {written} of {len(line)} bytes")
 
     # -- TelemetryStore ----------------------------------------------------
 
-    def append(self, sample: MetricSample) -> AppendResult:
-        result = self._mirror.append(sample)
+    def _append(self, sample: MetricSample, derived: bool) -> AppendResult:
+        result = (self._mirror.append_derived if derived else self._mirror.append)(sample)
         if result is AppendResult.OK:
-            self._write(sample, derived=False)
+            try:
+                self._write(sample, derived)
+            except BaseException:
+                # not on disk, so not in the mirror: a retry must be written, not a duplicate
+                self._mirror.remove(sample.path, sample.metric, (sample.timestamp,))
+                raise
         return result
 
+    def append(self, sample: MetricSample) -> AppendResult:
+        return self._append(sample, derived=False)
+
     def append_derived(self, sample: MetricSample) -> AppendResult:
-        result = self._mirror.append_derived(sample)
-        if result is AppendResult.OK:
-            self._write(sample, derived=True)
-        return result
+        return self._append(sample, derived=True)
 
     def latest(self, path, metric):
         return self._mirror.latest(path, metric)

@@ -34,7 +34,12 @@ class Importer(WireHandler):
         self.server = WireServer(self, clock, name=name)
 
     def on_sample(self, sample: MetricSample) -> None:
-        result = self.store.append(sample)
+        try:
+            result = self.store.append(sample)
+        except Exception:  # the store failed (say, a full disk): the line is rejected
+            with self._lock:
+                self.counters.rejected += 1
+            raise
         with self._lock:
             if result is AppendResult.OK:
                 self.counters.ingested += 1

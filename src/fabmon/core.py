@@ -20,7 +20,7 @@ MAX_PATH_DEPTH = 8
 # Texts ResourcePath.parse interns; a 1100-host fabric has about 1,110 paths.
 PARSE_CACHE_SIZE = 16_384
 
-_SEGMENT_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
+_SEGMENT_RE = re.compile(r"[a-z0-9][a-z0-9._-]*\Z")  # \Z: "$" would pass a trailing newline
 
 INT64_MAX = (1 << 63) - 1  # timestamps and ttls fit the archive's int64 columns
 

@@ -14,6 +14,10 @@ Decoding is strict: unknown keys, missing keys and wrong types are all
 rejected, so a control line can never be mistaken for a sample. Decoding is
 also the only validation: a decoded message carries domain values
 (ResourcePath, MetricSample), and encoding serializes them as they are.
+
+Lines are formatted directly, field by field, into the bytes json.JSONEncoder(
+separators=(",", ":"), ensure_ascii=False, allow_nan=False) writes for the
+same object; a non-finite float raises ValueError.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from math import isfinite
 from typing import Any
 
 from fabmon.core import PARSE_CACHE_SIZE, MalformedPath, MetricSample, ResourcePath, is_token
@@ -32,6 +38,8 @@ class MalformedRecord(ValueError):
 
 class SchemaViolation(ValueError):
     """Line parsed but keys/types do not match the record or message schema."""
+
+    control = False  # decode_wire_line sets it when the line had a "k": a control message
 
 
 PROVIDER_KINDS = ("agent", "archive", "directory")
@@ -60,13 +68,19 @@ def _loads(line: bytes) -> dict:
     return obj
 
 
-# built once: json.dumps with non-default arguments builds an encoder per call
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-
-
-def _dumps(obj: dict) -> bytes:
-    """One line, trailing newline included; non-finite numbers raise ValueError."""
-    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
+def _scalar(value: Any) -> str:
+    """One JSON scalar: a string, number, true, false or null."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not a JSON scalar")
 
 
 def _path(value: Any) -> ResourcePath:
@@ -113,9 +127,16 @@ def sample_from_obj(obj: dict) -> MetricSample:
         raise SchemaViolation(str(exc)) from None
 
 
+def _sample_text(sample: MetricSample) -> str:
+    # MetricSample validated every field: the ints are ints, and path and metric
+    # are tokens, which need no escaping
+    return (f'{{"t":{sample.timestamp},"p":"{str(sample.path)}","m":"{sample.metric}",'
+            f'"v":{_scalar(sample.value)},"ttl":{sample.ttl}}}')
+
+
 def encode_sample(sample: MetricSample) -> bytes:
     """Serialize one sample as a record line, trailing newline included."""
-    return _dumps(sample_to_obj(sample))
+    return (_sample_text(sample) + "\n").encode("utf-8")
 
 
 def decode_sample(line: bytes) -> MetricSample:
@@ -182,6 +203,7 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
         ("message", "str", True),
     ),
 }
+_FIELDS = {kind: frozenset(name for name, _, _ in schema) for kind, schema in _SCHEMAS.items()}
 
 
 def _convert(name: str, tag: str, value: Any) -> Any:
@@ -219,39 +241,36 @@ def _convert(name: str, tag: str, value: Any) -> Any:
     return value
 
 
-def _to_wire(name: str, tag: str, value: Any) -> Any:
-    """Serialize one field's domain value; scalars go out as they are."""
+def _field_text(name: str, tag: str, value: Any) -> str:
+    """One field's domain value as JSON text."""
     if tag == "path":
         if not isinstance(value, ResourcePath):
             raise TypeError(f"field {name!r} must be a ResourcePath")
-        return str(value)
-    if tag == "sample_or_null":
-        if value is None:
-            return None
+        return f'"{str(value)}"'  # segments are tokens: nothing to escape
+    if tag == "sample_or_null" and value is not None:
         if not isinstance(value, MetricSample):
             raise TypeError(f"field {name!r} must be a MetricSample or None")
-        return sample_to_obj(value)
+        return _sample_text(value)
     if tag == "sample_list":
         if not all(isinstance(s, MetricSample) for s in value):
             raise TypeError(f"field {name!r} must hold MetricSamples")
-        return [sample_to_obj(s) for s in value]
-    return value
+        return f"[{','.join(map(_sample_text, value))}]"
+    return _scalar(value)
 
 
 def encode_message(msg: Message) -> bytes:
     if msg.kind not in _SCHEMAS:
         raise ValueError(f"cannot encode message kind {msg.kind!r}")
-    schema = _SCHEMAS[msg.kind]
-    extra = msg.body.keys() - {name for name, _, _ in schema}
+    extra = msg.body.keys() - _FIELDS[msg.kind]
     if extra:
         raise ValueError(f"unknown fields for {msg.kind}: {sorted(extra)}")
-    out: dict[str, Any] = {"k": msg.kind, "cid": msg.cid}
-    for name, tag, required in schema:
+    parts = [f'{{"k":"{msg.kind}","cid":{_scalar(msg.cid)}']
+    for name, tag, required in _SCHEMAS[msg.kind]:
         if name in msg.body:
-            out[name] = _to_wire(name, tag, msg.body[name])
+            parts.append(f',"{name}":{_field_text(name, tag, msg.body[name])}')
         elif required:
             raise ValueError(f"{msg.kind} requires field {name!r}")
-    return _dumps(out)
+    return ("".join(parts) + "}\n").encode("utf-8")
 
 
 def message_from_obj(obj: dict) -> Message:
@@ -268,12 +287,11 @@ def message_from_obj(obj: dict) -> Message:
             raise SchemaViolation(f"{kind} needs an integer cid")
     elif isinstance(cid, bool) or not isinstance(cid, int):
         raise SchemaViolation("cid must be an integer")
-    schema = _SCHEMAS[kind]
-    extra = obj.keys() - {name for name, _, _ in schema} - {"k", "cid"}
+    extra = obj.keys() - _FIELDS[kind] - {"k", "cid"}
     if extra:
         raise SchemaViolation(f"unknown fields for {kind}: {sorted(extra)}")
     body = {}
-    for name, tag, required in schema:
+    for name, tag, required in _SCHEMAS[kind]:
         if name in obj:
             body[name] = _convert(name, tag, obj[name])
         elif required:
@@ -285,5 +303,9 @@ def decode_wire_line(line: bytes) -> Message | MetricSample:
     """Classify and decode one wire line: control message or bare sample."""
     obj = _loads(line)
     if "k" in obj:
-        return message_from_obj(obj)
+        try:
+            return message_from_obj(obj)
+        except SchemaViolation as exc:
+            exc.control = True
+            raise
     return sample_from_obj(obj)

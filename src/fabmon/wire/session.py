@@ -144,9 +144,9 @@ class WireServer:
         try:
             decoded = codec.decode_wire_line(line)
         except SchemaViolation as exc:
-            # valid JSON with a "k" is a broken control message; everything
+            # an object with a "k" is a broken control message; everything
             # else counts as a rejected data line
-            if b'"k"' in line:
+            if exc.control:
                 conn.push(codec.encode_message(
                     Message("ERROR", None, {"code": "schema_violation", "message": str(exc)})))
             else:

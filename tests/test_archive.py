@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import io
 import os
 import random
 import shutil
@@ -17,10 +19,11 @@ from fabmon.archive import (
     InvalidRange,
     MemoryStore,
     RetentionPolicy,
+    filestore,
     retention_sweep,
 )
 from fabmon.wire import RequestError, WireClient, connect_memory
-from fabmon.wire.codec import encode_sample
+from fabmon.wire.codec import decode_wire_line, encode_sample
 
 PATH = ResourcePath.parse("bnl/farm/n1")
 
@@ -472,6 +475,40 @@ class TestImporter:
         assert importer.counters.ingested == 1
         assert importer.counters.rejected == 1
         assert importer.store.latest(PATH, "cpu.load1").value == 1.0
+
+    @pytest.mark.parametrize("fills", ["before the line", "part way through the line"])
+    def test_failed_segment_write_is_rejected_and_the_retry_kept(self, tmp_path, monkeypatch,
+                                                                 fills):
+        opens = []
+
+        class HalfWrite(io.FileIO):
+            def write(self, data):
+                return super().write(data[:len(data) // 2])
+
+        def disk_full_once(name, mode, **kwargs):
+            opens.append(name)
+            if len(opens) > 1:
+                return open(name, mode, **kwargs)
+            if fills == "before the line":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return HalfWrite(name, mode)
+
+        monkeypatch.setattr(filestore, "open", disk_full_once, raising=False)
+        importer = Importer(FileSegmentStore(tmp_path / "t"), SimClock(EPOCH_MS))
+        client = WireClient(connect_memory(importer.server), role="producer", name="a")
+        s = make_sample(value=1.0)
+        client.publish(s)
+        assert decode_wire_line(client._channel.recv(0)).body["code"] == "internal"
+        assert importer.counters.rejected == 1
+        assert importer.store.latest(PATH, "cpu.load1") is None
+        client.publish(s)  # the producer's retry
+        later = make_sample(ts=EPOCH_MS + 1000, value=2.0)
+        client.publish(later)
+        assert (importer.counters.ingested, importer.counters.duplicates) == (2, 0)
+        assert len(opens) == 3
+        seg = tmp_path / "t" / "bnl~farm~n1" / "cpu.load1" / "20200913.seg"
+        assert seg.read_bytes() == encode_sample(s) + encode_sample(later)
+        assert FileSegmentStore(tmp_path / "t").range(PATH, "cpu.load1", 1, 2**60) == [s, later]
 
     def test_query_serving(self):
         clock, importer = self._stack()

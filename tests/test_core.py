@@ -32,7 +32,8 @@ class TestResourcePath:
         with pytest.raises(MalformedPath):
             ResourcePath.parse("a//b")
 
-    @pytest.mark.parametrize("bad", ["", "/a", "a/", "-leading", "a/_x", "a b", "a/" + "x/" * 8])
+    @pytest.mark.parametrize("bad", ["", "/a", "a/", "-leading", "a/_x", "a b", "a/" + "x/" * 8,
+                                     "a/b\n"])
     def test_malformed(self, bad):
         with pytest.raises(MalformedPath):
             ResourcePath.parse(bad)

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EPOCH_MS, make_sample, paths, samples, tokens
@@ -23,9 +24,62 @@ from fabmon.wire import (
     encode_message,
     encode_sample,
 )
-from fabmon.wire.codec import decode_wire_line, sample_to_obj
+from fabmon.wire.codec import PROVIDER_KINDS, ROLES, _SCHEMAS, decode_wire_line, sample_to_obj
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+# the generic encoder whose bytes the codec's direct formatting reproduces
+_STDLIB = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
+def _stdlib_line(obj) -> bytes:
+    return (_STDLIB.encode(obj) + "\n").encode("utf-8")
+
+
+# any text UTF-8 can carry (no lone surrogates), with escapes made likely
+_EDGE_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀'),
+                               st.characters(blacklist_categories=("Cs",))), max_size=20)
+_EDGE_INTS = st.one_of(st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, -(2**63) - 1]), st.integers())
+_EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 1e16, 5e-324, 1.7976931348623157e308]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def edge_samples() -> st.SearchStrategy[MetricSample]:
+    """Samples whose values are the encoder's hard cases: escapes, big ints, odd floats."""
+    return st.builds(MetricSample, path=paths(), metric=tokens(),
+                     timestamp=st.integers(1, 2**63 - 1),
+                     value=st.one_of(_EDGE_INTS, _EDGE_FLOATS, _EDGE_TEXT),
+                     ttl=st.integers(0, 2**63 - 1))
+
+
+_EDGE_FIELDS = {
+    "path": paths(), "metric": tokens(), "int": _EDGE_INTS, "str": _EDGE_TEXT,
+    "bool": st.booleans(), "role": st.sampled_from(ROLES),
+    "provider_kind": st.sampled_from(PROVIDER_KINDS),
+    "sample_or_null": st.one_of(st.none(), edge_samples()),
+    "sample_list": st.lists(edge_samples(), max_size=3),
+}
+
+
+@st.composite
+def edge_messages(draw) -> Message:
+    """Any kind, any subset of its optional fields, the body in a shuffled order."""
+    kind = draw(st.sampled_from(sorted(_SCHEMAS)))
+    fields = [(name, draw(_EDGE_FIELDS[tag])) for name, tag, required in _SCHEMAS[kind]
+              if required or draw(st.booleans())]
+    cid = draw(st.one_of(st.none(), _EDGE_INTS))
+    return Message(kind, cid, dict(draw(st.permutations(fields))))
+
+
+def _wire_value(value):
+    if isinstance(value, ResourcePath):
+        return str(value)
+    if isinstance(value, MetricSample):
+        return sample_to_obj(value)
+    if isinstance(value, list):
+        return [sample_to_obj(s) for s in value]
+    return value
 
 
 class TestSampleCodec:
@@ -70,6 +124,9 @@ class TestSampleCodec:
         # past the archive's int64 timestamp and ttl columns
         b'{"t":9223372036854775808,"p":"a","m":"m","v":1,"ttl":1}\n',
         b'{"t":1,"p":"a","m":"m","v":1,"ttl":9223372036854775808}\n',
+        # a token with a trailing newline would put a raw newline into a line
+        b'{"t":1,"p":"a","m":"m\\n","v":1,"ttl":1}\n',
+        b'{"t":1,"p":"a\\n","m":"m","v":1,"ttl":1}\n',
     ])
     def test_wrong_types(self, line):
         with pytest.raises(SchemaViolation):
@@ -79,6 +136,17 @@ class TestSampleCodec:
     @settings(max_examples=300)
     def test_round_trip_property(self, s):
         assert decode_sample(encode_sample(s)) == s
+
+    @given(edge_samples())
+    @example(make_sample(value=-0.0))
+    @example(make_sample(value=1e16))
+    @example(make_sample(value=5e-324))
+    @example(make_sample(value=2**63))
+    @example(make_sample(value=-(2**64) - 1))
+    @example(make_sample(value='é"\\\x00\x1f\x7f\u2028😀'))
+    @settings(max_examples=300)
+    def test_bytes_match_stdlib_encoder(self, s):
+        assert encode_sample(s) == _stdlib_line(sample_to_obj(s))
 
 
 def messages() -> st.SearchStrategy[Message]:
@@ -115,6 +183,17 @@ class TestMessageCodec:
     @settings(max_examples=300)
     def test_round_trip(self, msg):
         assert decode_wire_line(encode_message(msg)) == msg
+
+    @given(edge_messages())
+    @example(Message("REPLY", 2**63, {"source": 'é"\\\x00\x1f\u2028😀', "removed": -(2**63) - 1,
+                                       "sample": make_sample(value=-0.0)}))
+    @settings(max_examples=300)
+    def test_bytes_match_stdlib_encoder(self, msg):
+        # keys in schema order, whatever order the body holds them in
+        obj = {"k": msg.kind, "cid": msg.cid}
+        obj.update((name, _wire_value(msg.body[name]))
+                   for name, _, _ in _SCHEMAS[msg.kind] if name in msg.body)
+        assert encode_message(msg) == _stdlib_line(obj)
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaViolation):
@@ -186,10 +265,13 @@ class TestMessageCodec:
             encode_message(Message("DEREGISTER", 1, {"endpoint": "x"}))
 
     def test_encode_rejects_non_finite_values(self):
-        with pytest.raises(ValueError):
-            encode_sample(make_sample(value=float("nan")))
-        with pytest.raises(ValueError):
-            encode_message(Message("REPLY", 1, {"samples": [make_sample(value=float("inf"))]}))
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                encode_sample(make_sample(value=value))
+            with pytest.raises(ValueError):
+                encode_message(Message("REPLY", 1, {"sample": make_sample(value=value)}))
+            with pytest.raises(ValueError):
+                encode_message(Message("REPLY", 1, {"samples": [make_sample(value=value)]}))
 
 
 # the messages behind tests/golden/messages.jsonl, line by line
@@ -299,6 +381,22 @@ class TestSession:
         error = decode_wire_line(client._channel.recv(0))
         assert (error.kind, error.body["code"]) == ("ERROR", "schema_violation")
         assert client.query_latest(ResourcePath.parse("a"), "m").absent
+
+    @pytest.mark.parametrize("line", [
+        b'{"t":1,"p":"bnl/n1","m":"k","v":1,"ttl":-1}\n',
+        b'{"t":1,"p":"bnl/n1","m":"m","v":"k","ttl":-1}\n',
+        b'{"t":1,"p":"k/n1","m":"m","v":1,"ttl":-1}\n',
+        b'{"t":1,"p":"k","m":"m","v":1,"ttl":-1}\n',
+    ])
+    def test_bad_sample_naming_k_is_a_bad_data_line(self, line):
+        # a "k" in the text is not a "k" key: the line is a malformed sample
+        handler = _StoreHandler()
+        server, _ = _mem_pair(handler)
+        client = WireClient(connect_memory(server), role="producer", name="p")
+        client._channel.send(line)
+        error = decode_wire_line(client._channel.recv(0))
+        assert (error.kind, error.body["code"]) == ("ERROR", "malformed_record")
+        assert handler.bad_lines == 1
 
     def test_record_line_while_awaiting_reply_is_violation(self):
         class Scripted:
