@@ -25,9 +25,8 @@ from fabmon.agent.scheduling import SensorSchedule
 from fabmon.agent.sensors import ReadFailure, SensorSpec, SensorUnavailable, read_builtin
 from fabmon.agent.spool import SpoolRing
 from fabmon.wire.client import WireClient
-from fabmon.wire.pool import SessionPool, open_session
-from fabmon.wire.session import (
-    LatestResult, ProtocolViolation, RequestError, WireHandler, WireServer)
+from fabmon.wire.pool import Lease, open_session
+from fabmon.wire.session import LatestResult, ProtocolViolation, WireHandler, WireServer
 
 log = logging.getLogger(__name__)
 
@@ -101,8 +100,10 @@ class Agent(WireHandler):
         self._latest: dict[str, MetricSample] = {}
         self._latest_lock = threading.Lock()
         self._client: Optional[WireClient] = None
-        self._directory = SessionPool(dial, "producer", self.server.name)
-        self._registered_until = 0
+        registers = dial and config.directory_endpoint and config.listen_endpoint
+        self._lease = Lease(dial, config.directory_endpoint,
+                            [config.host_path] if registers else [], "agent",
+                            config.listen_endpoint, config.registration_ttl)
         self._stop = threading.Event()
         # simulation hook: fault lookup for synthetic reads
         self.synthetic_fault: Optional[Callable[[str, str, int], Optional[str]]] = None
@@ -213,33 +214,6 @@ class Agent(WireHandler):
         self.counters.delivered += delivered
         return delivered
 
-    # -- registration ---------------------------------------------------------
-
-    def _directory_call(self, what: str, call: Callable[[WireClient], int]) -> Optional[int]:
-        """One pooled call to the directory; failures are logged, not raised.
-
-        The session is closed after each round, not held: a held session per
-        agent would keep one directory handler thread per host busy.
-        """
-        try:
-            return self._directory.call(self.config.directory_endpoint, call)
-        except (OSError, ProtocolViolation, RequestError) as exc:
-            log.info("directory %s failed: %s", what, exc)
-            return None
-        finally:
-            self._directory.close()
-
-    def _maybe_register(self, now: int) -> None:
-        if not self.dial or not self.config.directory_endpoint or not self.config.listen_endpoint:
-            return
-        if now < self._registered_until - (self.config.registration_ttl * 1000) // 2:
-            return
-        expires_at = self._directory_call("registration", lambda client: client.register(
-            self.config.host_path, "agent",
-            self.config.listen_endpoint, self.config.registration_ttl))
-        if expires_at is not None:
-            self._registered_until = expires_at
-
     # -- main loop --------------------------------------------------------------
 
     def tick(self, now: int) -> list[MetricSample]:
@@ -247,7 +221,7 @@ class Agent(WireHandler):
 
         Returns the samples produced in this step.
         """
-        self._maybe_register(now)
+        self._lease.keep(now)
         samples = self.sample_due(now)
         if samples and self.config.emit_self_metrics:
             samples += self._self_metrics(now)
@@ -278,10 +252,7 @@ class Agent(WireHandler):
                 self._client.close()
             except Exception:
                 pass
-        if self._registered_until:
-            self._directory_call("deregistration", lambda client: client.deregister(
-                self.config.host_path, self.config.listen_endpoint))
-            self._registered_until = 0
+        self._lease.release()
 
     # -- the agent's own query server ---------------------------------------------
 

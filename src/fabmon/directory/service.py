@@ -103,7 +103,7 @@ class DirectoryService(WireHandler):
                 raise
             raise RequestError("upstream_unreachable", f"{endpoint}: {exc}") from exc
         except (OSError, ProtocolViolation, ValueError) as exc:
-            # ValueError: an endpoint that does not parse, or an undecodable reply
+            # ValueError: an endpoint that does not parse
             raise RequestError("upstream_unreachable", f"{endpoint}: {exc}") from exc
 
     def close(self) -> None:
@@ -223,6 +223,8 @@ class DirectoryService(WireHandler):
             return self.registry.register(subtree, kind, endpoint, ttl, self.clock.now())
         except InvalidTTL as exc:
             raise RequestError("invalid_ttl", str(exc)) from None
+
+    on_query_registry = registry_dump
 
     def on_deregister(self, subtree, endpoint):
         return self.registry.deregister(subtree, endpoint)

@@ -20,7 +20,7 @@ import hashlib
 import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from fabmon.agent.daemon import Agent, AgentConfig
 from fabmon.agent.sensors import SensorSpec
@@ -32,8 +32,8 @@ from fabmon.probe.checks import ConsistencyRule, default_rules
 from fabmon.probe.runner import HostSpec, ProbeConfig, ProbeRunner, StepSpec
 from fabmon.probe.snapshot import verify_rollups
 from fabmon.wire.channel import MemoryChannel, connect_memory
-from fabmon.wire.client import WireClient
 from fabmon.wire.codec import encode_sample
+from fabmon.wire.pool import Lease
 from fabmon.wire.session import ConnectionLost, WireServer
 
 SIM_EPOCH_MS = 1_600_000_000_000  # fixed start so day buckets never drift
@@ -91,24 +91,6 @@ class SimConfig:
 
     def host_path(self, host_index: int) -> str:
         return f"{self.site_of(host_index)}/farm/node{host_index:04d}"
-
-    def to_dict(self) -> dict:
-        return {
-            "n_hosts": self.n_hosts,
-            "n_sites": self.n_sites,
-            "metrics": list(self.metrics),
-            "period_s": self.period_s,
-            "jitter": self.jitter,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "probe_period_s": self.probe_period_s,
-            "spool_capacity": self.spool_capacity,
-            "faults": [
-                {"kind": f.kind, "target": f.target, "t0_ms": f.t0_ms,
-                 "t1_ms": f.t1_ms, "parameter": f.parameter}
-                for f in self.faults
-            ],
-        }
 
 
 class SimNetwork:
@@ -256,7 +238,7 @@ class SimResult:
     def report_dict(self) -> dict:
         return {
             "schema": 1,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "counts": {
                 "produced": self.produced,
                 "delivered": self.delivered,
@@ -305,12 +287,10 @@ def run_sim(config: SimConfig, store=None) -> SimResult:
     network.add("directory:9811", directory.server)
 
     # the archive advertises each site subtree it stores
-    arch_client = WireClient(network.dial("directory:9811"), role="producer", name="sim-archive")
-    for site_index in range(config.n_sites):
-        arch_client.register(
-            ResourcePath.parse(f"site{site_index + 1}"), "archive", "importer:9812",
-            min(86400, max(600, config.duration_s * 2)))
-    arch_client.close()
+    archive = Lease(network.dial, "directory:9811",
+                    [ResourcePath.parse(f"site{i + 1}") for i in range(config.n_sites)],
+                    "archive", "importer:9812", min(86400, max(600, config.duration_s * 2)))
+    archive.keep(clock.now())
 
     descriptors = [
         MetricDescriptor(

@@ -11,7 +11,6 @@ import json
 import logging
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -28,9 +27,8 @@ from fabmon.probe.snapshot import IoFailure, publish_snapshot
 from fabmon.simfab.fabric import run_sim
 from fabmon.surface.httpd import SurfaceConfig, SurfaceServer
 from fabmon.surface.textview import render_text_status
-from fabmon.wire.channel import TcpWireServer, parse_endpoint, tcp_dial
-from fabmon.wire.client import WireClient
-from fabmon.wire.pool import SessionPool
+from fabmon.wire.channel import TcpWireServer, connect_memory, parse_endpoint, tcp_dial
+from fabmon.wire.pool import Lease, open_session
 from fabmon.wire.session import ProtocolViolation, RequestError
 
 log = logging.getLogger(__name__)
@@ -40,37 +38,36 @@ def _load(args) -> dict:
     return cfgmod.load_config(args.config) if args.config else {}
 
 
-def _stop_on_sigterm() -> None:
-    """Make SIGTERM raise KeyboardInterrupt, so daemons clean up as on SIGINT."""
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
-def _lease_keeper(directory_endpoint, subtrees, kind, endpoint, ttl, stop: threading.Event):
-    """Keep registrations alive until stop is set, then deregister them (best effort).
+def _stop_on_signals() -> None:
+    """Make SIGTERM and SIGINT, even one ignored at start, raise KeyboardInterrupt."""
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, signal.default_int_handler)
 
-    Every round runs over one held producer session, closed after the
-    deregistration. Retries quickly while the directory is down; a stop with
-    the directory down leaves the leases to expire.
-    """
-    pool = SessionPool(tcp_dial, "producer", endpoint)
 
-    def each_subtree(call) -> bool:
-        try:
-            pool.call(directory_endpoint, lambda client: [call(client, s) for s in subtrees])
-            return True
-        except (OSError, ProtocolViolation, RequestError) as exc:
-            log.info("directory %s: %s", directory_endpoint, exc)
-            return False
+def _start(server):
+    """server.start() with the stop signals blocked in its threads, so the main
+    thread, the only one that acts on them, receives them even while it sleeps."""
+    unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        return server.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
 
-    while not stop.is_set():
-        ok = each_subtree(lambda client, subtree: client.register(subtree, kind, endpoint, ttl))
-        stop.wait(max(5.0, ttl / 2) if ok else 5.0)
-    each_subtree(lambda client, subtree: client.deregister(subtree, endpoint))
-    pool.close()
+
+def _surface(cfg: dict, listen: str, directory: str, dial) -> SurfaceServer:
+    """The read-only HTTP surface on listen, asking the directory at directory through dial."""
+    host, port = parse_endpoint(listen)
+    return SurfaceServer(SurfaceConfig(
+        snapshot_dir=cfg.get("surface", {}).get(
+            "snapshot_dir", cfg.get("probe", {}).get("snapshot_dir", "")),
+        directory_endpoint=directory, host=host, port=port, dial=dial))
 
 
 def cmd_agent_run(args) -> int:
-    _stop_on_sigterm()
+    _stop_on_signals()
     cfg = _load(args)
     agent_cfg = cfgmod.agent_config(cfg)
     clock = SystemClock()
@@ -78,7 +75,7 @@ def cmd_agent_run(args) -> int:
     host, port = parse_endpoint(agent_cfg.listen_endpoint)
     server = None
     try:  # a SIGTERM as soon as the port listens must still stop cleanly
-        server = TcpWireServer(agent.server, host, port).start()
+        server = _start(TcpWireServer(agent.server, host, port))
         log.info("agent %s sampling, serving on %s", agent_cfg.host_path, server.endpoint)
         agent.run()
     except KeyboardInterrupt:
@@ -91,7 +88,7 @@ def cmd_agent_run(args) -> int:
 
 
 def cmd_importer_run(args) -> int:
-    _stop_on_sigterm()
+    _stop_on_signals()
     cfg = _load(args)
     sect = cfg.get("importer", {})
     eps = cfgmod.endpoints(cfg)
@@ -104,35 +101,27 @@ def cmd_importer_run(args) -> int:
     host, port = parse_endpoint(sect.get("listen", eps["importer"]))
     subtrees = [ResourcePath.parse(s) for s in sect.get("subtrees", [])]
     retention = sect.get("retention")
-    stop = threading.Event()
-    server = keeper = None
+    server = lease = None
     try:  # a SIGTERM as soon as the port listens must still stop cleanly
-        server = TcpWireServer(importer.server, host, port).start()
+        server = _start(TcpWireServer(importer.server, host, port))
         log.info("importer listening on %s", server.endpoint)
-        if subtrees:
-            keeper = threading.Thread(
-                target=_lease_keeper,
-                args=(sect.get("directory", eps["directory"]), subtrees, "archive",
-                      sect.get("advertise", server.endpoint),
-                      sect.get("registration_ttl_s", 120), stop),
-                daemon=True,
-            )
-            keeper.start()
+        lease = Lease(tcp_dial, sect.get("directory", eps["directory"]), subtrees, "archive",
+                      sect.get("advertise", server.endpoint), sect.get("registration_ttl_s", 120))
         next_sweep = time.monotonic() + (retention or {}).get("sweep_period_s", 3600)
         while True:
-            time.sleep(1)
+            lease.keep(clock.now())
             if retention and time.monotonic() >= next_sweep:
                 policy = RetentionPolicy(retention["max_age_s"], retention["bucket_s"])
                 result = retention_sweep(store, policy, clock.now())
                 log.info("retention sweep: removed %d compacted %d",
                          result.removed, result.compacted)
                 next_sweep = time.monotonic() + retention.get("sweep_period_s", 3600)
+            time.sleep(1)
     except KeyboardInterrupt:
         pass
     finally:
-        stop.set()
-        if keeper is not None and keeper.is_alive():
-            keeper.join()  # the keeper deregisters before it ends
+        if lease is not None:
+            lease.release()
         if server is not None:
             server.stop()
         store.close()
@@ -140,7 +129,7 @@ def cmd_importer_run(args) -> int:
 
 
 def cmd_directory_run(args) -> int:
-    _stop_on_sigterm()
+    _stop_on_signals()
     cfg = _load(args)
     sect = cfg.get("directory", {})
     eps = cfgmod.endpoints(cfg)
@@ -150,15 +139,14 @@ def cmd_directory_run(args) -> int:
         freshness_ttls={k: int(v) for k, v in sect.get("freshness_ttls", {}).items()},
     )
     host, port = parse_endpoint(sect.get("listen", eps["directory"]))
-    admin_host, admin_port = parse_endpoint(sect.get("http", eps["directory_http"]))
     # the wire port listens before the servers' threads start: a SIGTERM from
     # then on must still stop cleanly, so start them inside the try
     server = admin = None
     try:
-        server = TcpWireServer(service.server, host, port).start()
-        admin = SurfaceServer(SurfaceConfig(
-            snapshot_dir=cfg.get("surface", {}).get("snapshot_dir", ""),
-            host=admin_host, port=admin_port, directory=service)).start()
+        server = _start(TcpWireServer(service.server, host, port))
+        # the directory's copy of the HTTP surface asks its own wire server
+        admin = _start(_surface(cfg, eps["directory_http"], server.endpoint,
+                                lambda endpoint: connect_memory(service.server)))
         log.info("directory on %s, http on %s", server.endpoint, admin.endpoint)
         while True:
             time.sleep(sect.get("sweep_period_s", 30))
@@ -176,7 +164,7 @@ def cmd_directory_run(args) -> int:
 
 
 def cmd_probe_run(args) -> int:
-    _stop_on_sigterm()
+    _stop_on_signals()
     cfg = _load(args)
     sect = cfg.get("probe", {})
     probe_cfg = cfgmod.probe_config(cfg)
@@ -208,18 +196,12 @@ def cmd_probe_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    _stop_on_sigterm()
+    _stop_on_signals()
     cfg = _load(args)
     sect = cfg.get("surface", {})
     eps = cfgmod.endpoints(cfg)
-    host, port = parse_endpoint(sect.get("listen", eps["http"]))
-    server = SurfaceServer(SurfaceConfig(
-        snapshot_dir=sect.get("snapshot_dir", cfg.get("probe", {}).get("snapshot_dir", "")),
-        directory_endpoint=sect.get("directory", eps["directory"]),
-        host=host, port=port,
-        dial=tcp_dial,
-        directory_http=sect.get("directory_http", eps["directory_http"]),
-    ))
+    server = _surface(cfg, sect.get("listen", eps["http"]),
+                      sect.get("directory", eps["directory"]), tcp_dial)
     log.info("surface on %s", server.endpoint)
     try:
         server.serve_forever()
@@ -247,10 +229,15 @@ def cmd_status(args) -> int:
     return 0
 
 
-def _dir_client(args, cfg) -> WireClient:
+def _ask_directory(args, cfg, call):
+    """call(session) on a new consumer session to the directory, closed after."""
     endpoint = args.directory or cfg.get("probe", {}).get(
         "directory", cfgmod.endpoints(cfg)["directory"])
-    return WireClient(tcp_dial(endpoint), role="consumer", name="cli")
+    client = open_session(tcp_dial, endpoint, "consumer", "cli")
+    try:
+        return call(client)
+    finally:
+        client.close()
 
 
 def cmd_query(args) -> int:
@@ -261,50 +248,38 @@ def cmd_query(args) -> int:
         print(f"bad path: {exc}", file=sys.stderr)
         return 2
     try:
-        client = _dir_client(args, cfg)
-        try:
-            if args.what == "latest":
-                result = client.query_latest(path, args.metric)
-                if result.absent:
-                    print("absent")
-                else:
-                    flag = " stale" if result.stale else ""
-                    s = result.sample
-                    print(f"{s.path} {s.metric} = {s.value} @ {s.timestamp}"
-                          f" ttl={s.ttl}s source={result.source}{flag}")
-            else:
-                samples = client.query_range(path, args.metric, args.t0, args.t1)
-                for s in samples:
-                    print(f"{s.timestamp} {s.value}")
-                if not samples:
-                    print("absent")
-        finally:
-            client.close()
-    except (RequestError, OSError) as exc:
+        if args.what == "latest":
+            answer = _ask_directory(args, cfg, lambda c: c.query_latest(path, args.metric))
+        else:
+            answer = _ask_directory(
+                args, cfg, lambda c: c.query_range(path, args.metric, args.t0, args.t1))
+    except (RequestError, OSError, ProtocolViolation) as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 1
+    if args.what == "latest":
+        if answer.absent:
+            print("absent")
+        else:
+            flag = " stale" if answer.stale else ""
+            s = answer.sample
+            print(f"{s.path} {s.metric} = {s.value} @ {s.timestamp}"
+                  f" ttl={s.ttl}s source={answer.source}{flag}")
+    else:
+        for s in answer:
+            print(f"{s.timestamp} {s.value}")
+        if not answer:
+            print("absent")
     return 0
 
 
 def cmd_registry_ls(args) -> int:
-    import http.client
-
     cfg = _load(args)
-    admin = args.directory_http or cfgmod.endpoints(cfg)["directory_http"]
     try:
-        conn = http.client.HTTPConnection(admin, timeout=5)
-        conn.request("GET", "/registry")
-        resp = conn.getresponse()
-        body = resp.read()
-        conn.close()
-    except OSError as exc:
-        print(f"directory http unreachable at {admin}: {exc}", file=sys.stderr)
+        registrations = _ask_directory(args, cfg, lambda c: c.query_registry())
+    except (RequestError, OSError, ProtocolViolation) as exc:
+        print(f"registry fetch failed: {exc}", file=sys.stderr)
         return 1
-    if resp.status != 200:
-        print(f"registry fetch failed: {resp.status} {body.decode(errors='replace')}",
-              file=sys.stderr)
-        return 1
-    for entry in json.loads(body).get("registrations", []):
+    for entry in registrations:
         print(f"{entry['subtree']:<32} {entry['kind']:<10} {entry['endpoint']:<24}"
               f" ttl={entry['ttl']}s expires_at={entry['expires_at']}")
     return 0
@@ -397,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     registry = sub.add_parser("registry", help="inspect registrations").add_subparsers(
         dest="action", required=True)
     reg_ls = with_config(registry.add_parser("ls"))
-    reg_ls.add_argument("--directory-http", dest="directory_http")
+    reg_ls.add_argument("--directory")
     reg_ls.set_defaults(fn=cmd_registry_ls)
 
     sim = sub.add_parser("sim", help="deterministic simulated fabric").add_subparsers(

@@ -1,9 +1,9 @@
 """Read-only HTTP surface.
 
 Serves the published snapshot verbatim (byte-for-byte the file on disk),
-filtered site views, the directory's live registrations and telemetry
-history proxied through the directory. Handlers are stateless and never
-mutate anything.
+filtered site views, and the directory's live registrations and telemetry
+history, both asked over the wire on held directory sessions. Handlers are
+stateless and never mutate anything.
 
     GET /healthz                         process liveness
     GET /snapshot                        current snapshot.json, verbatim
@@ -26,6 +26,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from fabmon.core import MalformedPath, ResourcePath
 from fabmon.probe.snapshot import SCHEMA_VERSION
+from fabmon.wire.client import WireClient
 from fabmon.wire.codec import sample_to_obj
 from fabmon.wire.pool import SessionPool
 from fabmon.wire.session import ProtocolViolation, RequestError
@@ -36,14 +37,10 @@ log = logging.getLogger(__name__)
 @dataclass
 class SurfaceConfig:
     snapshot_dir: str = ""
-    directory_endpoint: str = ""  # wire endpoint, for /metrics
+    directory_endpoint: str = ""  # wire endpoint, for /registry and /metrics
     host: str = "127.0.0.1"
     port: int = 9800
     dial: Optional[Callable] = None
-    # when colocated with a directory, serve /registry straight from it
-    directory: object = None  # DirectoryService or None
-    # standalone surface: the directory daemon's HTTP listener, for /registry
-    directory_http: str = ""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -98,7 +95,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self):
         url = urlsplit(self.path)
         parts = [p for p in url.path.split("/") if p]
-        cfg: SurfaceConfig = self.server.config  # type: ignore[attr-defined]
 
         if url.path == "/healthz":
             self._send(200, b"ok\n", "text/plain")
@@ -133,59 +129,43 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         if url.path == "/registry":
-            if cfg.directory is not None:
-                self._json(200, {"registrations": cfg.directory.registry_dump()})
-                return
-            # standalone surface: proxy the directory daemon's own listener
-            admin = cfg.directory_http
-            if not admin:
-                self._error(503, "no directory attached to this surface")
-                return
-            import http.client
-
-            try:
-                conn = http.client.HTTPConnection(admin, timeout=5)
-                conn.request("GET", "/registry")
-                resp = conn.getresponse()
-                self._send(resp.status, resp.read())
-                conn.close()
-            except OSError as exc:
-                self._error(502, f"directory http unreachable: {exc}")
+            self._from_directory(lambda c: {"registrations": c.query_registry()})
             return
 
         if parts and parts[0] == "metrics":
             if len(parts) < 3:
                 self._error(404, "need /metrics/{path...}/{metric}")
                 return
-            if not (cfg.dial and cfg.directory_endpoint) and cfg.directory is None:
-                self._error(503, "no directory configured")
-                return
             path_text = "/".join(parts[1:-1])
             metric = parts[-1]
             query = parse_qs(url.query)
             try:
                 path = ResourcePath.parse(path_text)
-                t0 = int(query.get("from", ["0"])[0] or 0)
+                t0 = max(1, int(query.get("from", ["0"])[0] or 0))
                 t1 = int(query.get("to", [str(1 << 62)])[0] or (1 << 62))
             except (MalformedPath, ValueError) as exc:
                 self._error(404, f"bad query: {exc}")
                 return
-            try:
-                samples = self._query_range(cfg, path, metric, max(t0, 1), t1)
-            except (OSError, ProtocolViolation, RequestError) as exc:
-                self._error(502, str(exc))
-                return
-            self._json(200, {"path": path_text, "metric": metric,
-                             "samples": [sample_to_obj(s) for s in samples]})
+            self._from_directory(lambda c: {
+                "path": path_text, "metric": metric,
+                "samples": [sample_to_obj(s) for s in c.query_range(path, metric, t0, t1)]})
             return
 
         self._error(404, "not found")
 
-    def _query_range(self, cfg: SurfaceConfig, path, metric, t0, t1):
-        if cfg.directory is not None:
-            return cfg.directory.query_history(path, metric, t0, t1)
-        return self.server.pool.call(  # type: ignore[attr-defined]
-            cfg.directory_endpoint, lambda c: c.query_range(path, metric, t0, t1))
+    def _from_directory(self, answer: Callable[[WireClient], dict]) -> None:
+        """200 with answer() run on a pooled directory session, 502 if that fails."""
+        cfg: SurfaceConfig = self.server.config  # type: ignore[attr-defined]
+        if not (cfg.dial and cfg.directory_endpoint):
+            self._error(503, "no directory configured")
+            return
+        try:
+            body = self.server.pool.call(  # type: ignore[attr-defined]
+                cfg.directory_endpoint, answer)
+        except (OSError, ProtocolViolation, RequestError) as exc:
+            self._error(502, str(exc))
+            return
+        self._json(200, body)
 
 
 class SurfaceServer(ThreadingHTTPServer):
@@ -194,7 +174,7 @@ class SurfaceServer(ThreadingHTTPServer):
 
     def __init__(self, config: SurfaceConfig):
         self.config = config
-        # held sessions for /metrics: at most one per request in flight
+        # held directory sessions: at most one per request in flight
         self.pool = SessionPool(config.dial, "consumer", "surface")
         super().__init__((config.host, config.port), _Handler)
         self._thread: threading.Thread | None = None

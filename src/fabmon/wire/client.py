@@ -2,7 +2,8 @@
 
 An ERROR reply raises the RequestError the handler raised, with its code
 and message. A dead transport raises an OSError: ConnectionLost when the
-session ended, TimeoutError when no reply came in time.
+session ended, TimeoutError when no reply came in time. A reply that does
+not decode (the peer does not speak the protocol) raises ProtocolViolation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import threading
 
 from fabmon.core import MetricSample, ResourcePath
 from fabmon.wire import codec
-from fabmon.wire.codec import Message
+from fabmon.wire.codec import MalformedRecord, Message, SchemaViolation
 from fabmon.wire.session import ConnectionLost, LatestResult, ProtocolViolation, RequestError
 
 
@@ -45,7 +46,10 @@ class WireClient:
                     raise TimeoutError(f"no reply to {kind}: {exc}") from None
                 if line is None:
                     raise ConnectionLost(f"session closed awaiting reply to {kind}")
-                decoded = codec.decode_wire_line(line)
+                try:
+                    decoded = codec.decode_wire_line(line)
+                except (MalformedRecord, SchemaViolation) as exc:
+                    raise ProtocolViolation(f"undecodable reply to {kind}: {exc}") from None
                 if isinstance(decoded, MetricSample):
                     raise ProtocolViolation(f"record line while awaiting reply to {kind}")
                 if decoded.cid != cid:
@@ -96,6 +100,9 @@ class WireClient:
             body["hops"] = hops
         reply = self._request("QUERY_RANGE", body)
         return reply.body.get("samples", [])
+
+    def query_registry(self) -> list[dict]:
+        return self._request("QUERY_REGISTRY", {}).body.get("registrations", [])
 
     def close(self) -> None:
         self._channel.close()

@@ -10,8 +10,9 @@ a "cid" correlation id:
 
     {"k":"QUERY_LATEST","cid":7,"path":"bnl/farm/n1","m... }\n
 
-Decoding is strict: unknown keys, missing keys and wrong types are all
-rejected, so a control line can never be mistaken for a sample. Decoding is
+Decoding is strict: unknown keys, missing keys, wrong types and text UTF-8
+cannot encode are all rejected, so a control line can never be mistaken for
+a sample, and nothing decoded fails to encode again. Decoding is
 also the only validation: a decoded message carries domain values
 (ResourcePath, MetricSample), and encoding serializes them as they are.
 
@@ -83,6 +84,11 @@ def _scalar(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not a JSON scalar")
 
 
+def _utf8(text: str) -> bool:
+    """False for a lone surrogate (JSON's \\ud800 escape), which UTF-8 cannot encode."""
+    return text.isascii() or not any("\ud800" <= c <= "\udfff" for c in text)
+
+
 def _path(value: Any) -> ResourcePath:
     if not isinstance(value, str):
         raise SchemaViolation("path must be a string")
@@ -120,6 +126,8 @@ def sample_from_obj(obj: dict) -> MetricSample:
     if keys != _SAMPLE_KEYS:
         raise SchemaViolation(
             f"sample keys off: missing={sorted(_SAMPLE_KEYS - keys)} extra={sorted(keys - _SAMPLE_KEYS)}")
+    if isinstance(obj["v"], str) and not _utf8(obj["v"]):
+        raise SchemaViolation("text value is not valid UTF-8")
     try:
         return MetricSample(path=_path(obj["p"]), metric=_metric(obj["m"]), timestamp=obj["t"],
                             value=obj["v"], ttl=obj["ttl"])
@@ -189,6 +197,7 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
         ("subtree", "path", True),
         ("endpoint", "str", True),
     ),
+    "QUERY_REGISTRY": (),
     "REPLY": (
         ("ok", "bool", False),
         ("expires_at", "int", False),
@@ -197,6 +206,7 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
         ("source", "str", False),
         ("samples", "sample_list", False),
         ("removed", "int", False),
+        ("registrations", "registration_list", False),
     ),
     "ERROR": (
         ("code", "str", True),
@@ -204,6 +214,11 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, bool], ...]] = {
     ),
 }
 _FIELDS = {kind: frozenset(name for name, _, _ in schema) for kind, schema in _SCHEMAS.items()}
+
+# One live registration in a QUERY_REGISTRY reply: field name -> type tag, in
+# wire order. An entry stays a JSON object (subtree as text) once checked.
+_REGISTRATION = {"subtree": "path", "kind": "provider_kind", "endpoint": "str",
+                 "ttl": "int", "registered_at": "int", "expires_at": "int"}
 
 
 def _convert(name: str, tag: str, value: Any) -> Any:
@@ -222,10 +237,17 @@ def _convert(name: str, tag: str, value: Any) -> Any:
                 raise SchemaViolation(f"{name} entries must be sample objects")
             return [sample_from_obj(item) for item in value]
         ok = False
+    elif tag == "registration_list":
+        ok = isinstance(value, list) and all(
+            isinstance(e, dict) and e.keys() == _REGISTRATION.keys() for e in value)
+        if ok:
+            for entry in value:
+                for key, entry_tag in _REGISTRATION.items():
+                    _convert(key, entry_tag, entry[key])
     elif tag == "int":
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif tag == "str":
-        ok = isinstance(value, str)
+        ok = isinstance(value, str) and _utf8(value)
     elif tag == "bool":
         ok = isinstance(value, bool)
     elif tag == "role":
@@ -255,6 +277,10 @@ def _field_text(name: str, tag: str, value: Any) -> str:
         if not all(isinstance(s, MetricSample) for s in value):
             raise TypeError(f"field {name!r} must hold MetricSamples")
         return f"[{','.join(map(_sample_text, value))}]"
+    if tag == "registration_list":
+        return "[" + ",".join(
+            "{" + ",".join(f'"{key}":{_scalar(e[key])}' for key in _REGISTRATION) + "}"
+            for e in value) + "]"
     return _scalar(value)
 
 

@@ -1,4 +1,4 @@
-"""Held client sessions: one way for every daemon to talk to its peers.
+"""Client sessions: one way for every daemon to talk to its peers.
 
 A SessionPool keeps idle sessions per endpoint. A call checks one out,
 runs on it and checks it back in, so a peer pair costs one dial and one
@@ -9,11 +9,15 @@ ProtocolViolation for a failed session.
 
 from __future__ import annotations
 
+import logging
 import threading
 from typing import Callable, TypeVar
 
+from fabmon.core import ResourcePath
 from fabmon.wire.client import WireClient
 from fabmon.wire.session import ProtocolViolation, RequestError
+
+log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -76,7 +80,7 @@ class SessionPool:
                     client = None
                     continue
                 raise
-            except BaseException:  # e.g. an undecodable reply: the session's state is unknown
+            except BaseException:  # e.g. KeyboardInterrupt: the session's state is unknown
                 client.close()
                 raise
             self._checkin(endpoint, client)
@@ -89,3 +93,51 @@ class SessionPool:
             clients = [c for e in dropped for c in self._idle.pop(e)]
         for client in clients:
             client.close()
+
+
+class Lease:
+    """Registrations of subtrees served at endpoint, kept alive in a directory.
+
+    keep() registers every subtree at once, then whenever half the lease has
+    run out; release() deregisters them if a REGISTER went out, even one an
+    interrupt cut short. No subtrees, no dial. Failures are logged: keep()
+    tries again on its next call, and a directory down at release() leaves
+    the lease to expire. Each round dials, runs and closes its own session:
+    the directory serves each session on a thread, one per host if held.
+    """
+
+    def __init__(self, dial: Callable, directory: str, subtrees: list[ResourcePath],
+                 kind: str, endpoint: str, ttl: int):
+        self.dial = dial
+        self.directory = directory
+        self.subtrees = subtrees
+        self.kind = kind
+        self.endpoint = endpoint
+        self.ttl = ttl  # seconds
+        self.expires_at = 0  # unix ms, as the directory's last REPLY said
+        self.sent = False  # a REGISTER went out since the last release()
+
+    def _round(self, call: Callable[[WireClient, ResourcePath], int]) -> list[int] | None:
+        try:
+            client = open_session(self.dial, self.directory, "producer", self.endpoint)
+            try:
+                return [call(client, subtree) for subtree in self.subtrees]
+            finally:
+                client.close()
+        except (OSError, ProtocolViolation, RequestError) as exc:
+            log.info("directory %s: %s", self.directory, exc)
+            return None
+
+    def keep(self, now: int) -> None:
+        if not self.subtrees or now < self.expires_at - self.ttl * 1000 // 2:
+            return
+        self.sent = True
+        expiries = self._round(lambda c, s: c.register(s, self.kind, self.endpoint, self.ttl))
+        if expiries:
+            self.expires_at = min(expiries)
+
+    def release(self) -> None:
+        if self.sent:
+            self._round(lambda c, s: c.deregister(s, self.endpoint))
+            self.sent = False
+            self.expires_at = 0

@@ -25,7 +25,7 @@ from fabmon.wire.codec import MalformedRecord, Message, SchemaViolation
 log = logging.getLogger(__name__)
 
 PRODUCER_KINDS = frozenset({"REGISTER", "DEREGISTER"})
-CONSUMER_KINDS = frozenset({"QUERY_LATEST", "QUERY_RANGE"})
+CONSUMER_KINDS = frozenset({"QUERY_LATEST", "QUERY_RANGE", "QUERY_REGISTRY"})
 
 
 class ProtocolViolation(RuntimeError):
@@ -78,6 +78,9 @@ class WireHandler:
         self, path: ResourcePath, metric: str, t0: int, t1: int, hops: int
     ) -> list[MetricSample]:
         raise RequestError("unsupported", "this endpoint does not answer range queries")
+
+    def on_query_registry(self) -> list[dict]:
+        raise RequestError("unsupported", "this endpoint keeps no registry")
 
     def on_register(self, subtree: ResourcePath, kind: str, endpoint: str, ttl: int) -> int:
         raise RequestError("unsupported", "this endpoint does not take registrations")
@@ -231,6 +234,8 @@ class WireServer:
             samples = self.handler.on_query_range(
                 body["path"], body["metric"], body["t0"], body["t1"], body.get("hops", 0))
             return Message("REPLY", msg.cid, {"samples": samples})
+        if msg.kind == "QUERY_REGISTRY":
+            return Message("REPLY", msg.cid, {"registrations": self.handler.on_query_registry()})
         if msg.kind == "REGISTER":
             expires_at = self.handler.on_register(
                 body["subtree"], body["kind"], body["endpoint"], body["ttl"])

@@ -392,10 +392,10 @@ class TestDefaultSpecs:
 
 
 class TestDeregisterOnStop:
-    def _agent(self, clock, dial):
+    def _agent(self, clock, dial, ttl=120):
         config = AgentConfig(host_path=HOST, sensors=[_synth_spec()],
                              directory_endpoint="dir:1", listen_endpoint="agent:1",
-                             emit_self_metrics=False)
+                             registration_ttl=ttl, emit_self_metrics=False)
         return Agent(config, clock, dial=dial)
 
     def test_stop_drops_the_lease_at_once(self, clock):
@@ -431,8 +431,7 @@ class TestDeregisterOnStop:
             dials.append(endpoint)
             return connect_memory(directory.server)
 
-        agent = self._agent(clock, dial)
-        agent.config.registration_ttl = 60
+        agent = self._agent(clock, dial, ttl=60)  # the lease reads its ttl once
         for _ in range(3):  # the lease is renewed every half ttl
             agent.tick(clock.now())
             assert directory.server.connections() == []

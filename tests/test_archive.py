@@ -476,6 +476,20 @@ class TestImporter:
         assert importer.counters.rejected == 1
         assert importer.store.latest(PATH, "cpu.load1").value == 1.0
 
+    def test_text_value_utf8_cannot_encode_is_rejected(self):
+        # JSON's \ud800 escape decodes to a lone surrogate; stored, it would
+        # break every latest answer for the series
+        clock, importer = self._stack()
+        client = WireClient(connect_memory(importer.server), role="producer", name="a")
+        client._channel.send(b'{"t":%d,"p":"bnl/farm/n1","m":"cpu.load1",'
+                             b'"v":"\\ud800","ttl":60}\n' % EPOCH_MS)
+        error = decode_wire_line(client._channel.recv(0))
+        assert (error.kind, error.body["code"]) == ("ERROR", "malformed_record")
+        assert (importer.counters.ingested, importer.counters.rejected) == (0, 1)
+        client.publish(make_sample(value="up 14 days"))
+        consumer = WireClient(connect_memory(importer.server), role="consumer", name="c")
+        assert consumer.query_latest(PATH, "cpu.load1").sample.value == "up 14 days"
+
     @pytest.mark.parametrize("fills", ["before the line", "part way through the line"])
     def test_failed_segment_write_is_rejected_and_the_retry_kept(self, tmp_path, monkeypatch,
                                                                  fills):

@@ -14,7 +14,9 @@ from fabmon.archive import Importer, MemoryStore
 import fabmon.directory.service as service_mod
 from fabmon.directory import DirectoryService, InvalidTTL, Registry
 from fabmon.wire import (
-    LatestResult, MemoryChannel, RequestError, WireClient, WireServer, decode_wire_line, tcp_dial)
+    LatestResult, MemoryChannel, RequestError, WireClient, WireServer, connect_memory,
+    decode_wire_line, tcp_dial)
+from fabmon.wire.pool import Lease
 from fabmon.wire.session import WireHandler
 
 P = ResourcePath.parse
@@ -601,3 +603,103 @@ class TestWireSurface:
         error = decode_wire_line(producer._channel.recv(1))
         assert (error.kind, error.body["code"]) == ("ERROR", "schema_violation")
         assert [r["expires_at"] for r in service.registry_dump()] == [clock.now() + 60_000]
+
+    def test_registry_listed_over_the_wire(self, clock):
+        net, service = _stack(clock)
+        producer = WireClient(net.dial("dir:1"), role="producer", name="x")
+        producer.register(P("uta"), "archive", "arch:1", 600)
+        producer.register(P("bnl/farm/n1"), "agent", "agent:1", 60)
+        consumer = WireClient(net.dial("dir:1"), role="consumer", name="cli")
+        got = consumer.query_registry()
+        assert got == service.registry_dump()
+        assert [(e["subtree"], e["kind"]) for e in got] == [("bnl/farm/n1", "agent"),
+                                                            ("uta", "archive")]
+
+    @pytest.mark.parametrize("line", [
+        b'{"k":"REGISTER","cid":2,"subtree":"bnl","kind":"agent","endpoint":"\\ud800","ttl":60}\n',
+        b'{"k":"DEREGISTER","cid":2,"subtree":"bnl","endpoint":"a:1\\udfff"}\n',
+        b'{"k":"HELLO","cid":2,"role":"producer","name":"\\ud800"}\n',
+    ])
+    def test_text_utf8_cannot_encode_draws_error(self, clock, line):
+        # stored, such an endpoint would break every registry reply after it
+        net, service = _stack(clock)
+        producer = WireClient(net.dial("dir:1"), role="producer", name="x")
+        producer.register(P("bnl"), "agent", "a:1", 60)
+        producer._channel.send(line)
+        error = decode_wire_line(producer._channel.recv(1))
+        assert (error.kind, error.body["code"]) == ("ERROR", "schema_violation")
+        consumer = WireClient(net.dial("dir:1"), role="consumer", name="cli")
+        assert [e["endpoint"] for e in consumer.query_registry()] == ["a:1"]
+
+
+class TestLease:
+    def _directory(self, clock):
+        directory = DirectoryService(clock, lambda ep: None, name="dir")
+        dials = []
+
+        def dial(endpoint):
+            dials.append(endpoint)
+            return connect_memory(directory.server)
+
+        return directory, dials, dial
+
+    def test_renewed_at_half_ttl_on_one_dial_per_round(self, clock):
+        directory, dials, dial = self._directory(clock)
+        lease = Lease(dial, "dir:1", [P("bnl"), P("uta")], "archive", "arch:1", 120)
+        for _ in range(5):  # every 30 s: rounds at 0, 60 and 120 s
+            lease.keep(clock.now())
+            assert [e["subtree"] for e in directory.registry_dump()] == ["bnl", "uta"]
+            assert directory.server.connections() == []  # closed after each round
+            clock.sleep_until(clock.now() + 30_000)
+        assert dials == ["dir:1"] * 3
+        assert lease.expires_at == clock.now() - 30_000 + 120_000
+        lease.release()
+        assert directory.registry_dump() == []
+        assert directory.server.connections() == []
+        assert dials == ["dir:1"] * 4
+
+    def test_failed_round_is_tried_again_on_the_next_keep(self, clock):
+        directory, dials, dial = self._directory(clock)
+        up = []
+
+        def flaky(endpoint):
+            if not up:
+                raise ConnectionRefusedError("directory down")
+            return dial(endpoint)
+
+        lease = Lease(flaky, "dir:1", [P("bnl")], "archive", "arch:1", 120)
+        lease.keep(clock.now())  # logged, not raised
+        up.append(True)
+        clock.sleep_until(clock.now() + 1_000)
+        lease.keep(clock.now())
+        assert lease.expires_at == clock.now() + 120_000
+        assert len(directory.registry_dump()) == 1
+
+    def test_release_after_an_interrupted_round(self, clock):
+        # a stop signal that lands while the REGISTER's reply is awaited
+        directory = DirectoryService(clock, lambda ep: None, name="dir")
+        pending = [KeyboardInterrupt]
+
+        class Interrupted(MemoryChannel):
+            def recv(self, timeout=None):
+                line = super().recv(timeout)
+                if pending and b"expires_at" in line:
+                    raise pending.pop()
+                return line
+
+        lease = Lease(lambda ep: Interrupted(directory.server), "dir:1", [P("bnl")],
+                      "archive", "arch:1", 120)
+        with pytest.raises(KeyboardInterrupt):
+            lease.keep(clock.now())
+        assert len(directory.registry_dump()) == 1
+        lease.release()
+        assert directory.registry_dump() == []
+        assert directory.server.connections() == []
+
+    def test_no_dial_before_a_keep_or_without_subtrees(self, clock):
+        _, dials, dial = self._directory(clock)
+        Lease(dial, "dir:1", [P("bnl")], "archive", "arch:1", 120).release()
+        idle = Lease(dial, "dir:1", [], "agent", "agent:1", 120)
+        idle.keep(clock.now())
+        idle.release()
+        assert dials == []

@@ -7,7 +7,6 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -18,8 +17,7 @@ from fabmon.archive import Importer, MemoryStore
 from fabmon.directory import DirectoryService
 from fabmon.probe import publish_snapshot
 from fabmon.surface import SurfaceConfig, SurfaceServer, render_text_status
-from fabmon.surface import cli
-from fabmon.wire import TcpWireServer, connect_memory, tcp_dial
+from fabmon.wire import TcpWireServer, WireClient, connect_memory, tcp_dial
 from golden_fixtures import fixed_snapshot
 
 P = ResourcePath.parse
@@ -36,19 +34,34 @@ def _get(endpoint: str, path: str):
 
 
 @pytest.fixture
-def stack(tmp_path):
-    """Published snapshot + directory + archive behind a surface server."""
-    clock = SimClock(EPOCH_MS)
+def store():
     store = MemoryStore()
-    importer = Importer(store, clock)
-    directory = DirectoryService(
-        clock, lambda ep, timeout=None: connect_memory(importer.server), name="dir")
-    directory.registry.register(P("bnl"), "archive", "arch:1", 6000, clock.now())
     for i in range(5):
         store.append(make_sample(ts=EPOCH_MS + i * 1000, value=i))
+    return store
+
+
+@pytest.fixture
+def directory(store):
+    """A directory with one archive, over store, registered for bnl."""
+    clock = SimClock(EPOCH_MS)
+    importer = Importer(store, clock)
+    directory = DirectoryService(clock, lambda ep: connect_memory(importer.server), name="dir")
+    directory.registry.register(P("bnl"), "archive", "arch:1", 6000, clock.now())
+    return directory
+
+
+@pytest.fixture
+def stack(tmp_path, directory, store):
+    """Published snapshot + directory + archive behind a surface server.
+
+    The surface reaches the directory in memory, as the directory daemon's
+    own copy of the surface does.
+    """
     publish_snapshot(fixed_snapshot(), tmp_path)
     server = SurfaceServer(SurfaceConfig(
-        snapshot_dir=str(tmp_path), host="127.0.0.1", port=0, directory=directory)).start()
+        snapshot_dir=str(tmp_path), host="127.0.0.1", port=0, directory_endpoint="dir:1",
+        dial=lambda endpoint: connect_memory(directory.server))).start()
     yield server, tmp_path, store
     server.stop()
 
@@ -117,9 +130,7 @@ class TestHttp:
         assert [s["t"] for s in got] == [s.timestamp for s in direct]
         assert [s["v"] for s in got] == [s.value for s in direct]
 
-    def test_metrics_requests_share_one_directory_session(self, stack, tmp_path):
-        colocated, _, _ = stack
-        directory = colocated.config.directory
+    def test_metrics_requests_share_one_directory_session(self, directory, tmp_path):
         dials = []
 
         def dial(endpoint):
@@ -139,22 +150,27 @@ class TestHttp:
         assert dials == ["dir:1"]
         assert directory.server.connections() == []  # closed with the server
 
-    def test_metrics_errors_match_the_standalone_surface(self, stack, tmp_path):
-        # the directory's own admin listener answers as `fabmon serve` does
-        colocated, _, _ = stack
-        directory = colocated.config.directory
-        standalone = SurfaceServer(SurfaceConfig(
-            snapshot_dir=str(tmp_path), host="127.0.0.1", port=0, directory_endpoint="dir:1",
-            dial=lambda endpoint: connect_memory(directory.server))).start()
+    def test_metrics_errors_answer_502(self, stack):
+        server, _, _ = stack
+        for path, code in (("/metrics/uta/farm/n1/cpu.load1", "no_provider"),
+                           ("/metrics/bnl/farm/n1/cpu.load1?from=10&to=5", "invalid_range")):
+            status, body = _get(server.endpoint, path)
+            assert status == 502, body
+            assert json.loads(body)["error"].startswith(f"{code}: ")
+
+    def test_directory_that_speaks_http_answers_502(self, stack, tmp_path):
+        # an old config may still name a directory's HTTP port as the directory
+        other, _, _ = stack
+        server = SurfaceServer(SurfaceConfig(
+            snapshot_dir=str(tmp_path), host="127.0.0.1", port=0,
+            directory_endpoint=other.endpoint, dial=tcp_dial)).start()
         try:
-            for path, code in (("/metrics/uta/farm/n1/cpu.load1", "no_provider"),
-                               ("/metrics/bnl/farm/n1/cpu.load1?from=10&to=5", "invalid_range")):
-                status, body = _get(colocated.endpoint, path)
+            for path in ("/registry", "/metrics/bnl/farm/n1/cpu.load1"):
+                status, body = _get(server.endpoint, path)
                 assert status == 502, body
-                assert json.loads(body)["error"].startswith(f"{code}: ")
-                assert _get(standalone.endpoint, path) == (status, body)
+                assert json.loads(body)["error"].startswith("undecodable reply to HELLO: ")
         finally:
-            standalone.stop()
+            server.stop()
 
     def test_no_snapshot_yet_503(self, tmp_path):
         server = SurfaceServer(SurfaceConfig(
@@ -164,19 +180,6 @@ class TestHttp:
             assert _get(server.endpoint, "/sites")[0] == 503
         finally:
             server.stop()
-
-    def test_registry_proxied_from_directory_daemon(self, stack, tmp_path):
-        # a standalone surface forwards /registry to the directory's listener
-        colocated, _, _ = stack
-        standalone = SurfaceServer(SurfaceConfig(
-            snapshot_dir=str(tmp_path), host="127.0.0.1", port=0,
-            directory_http=colocated.endpoint)).start()
-        try:
-            status, body = _get(standalone.endpoint, "/registry")
-            assert status == 200
-            assert json.loads(body) == json.loads(_get(colocated.endpoint, "/registry")[1])
-        finally:
-            standalone.stop()
 
     def test_registry_unavailable_503(self, tmp_path):
         server = SurfaceServer(SurfaceConfig(
@@ -241,16 +244,26 @@ def _free_ports(n: int) -> list[int]:
     return ports
 
 
-def _sigterm_after(args: list[str], ready) -> tuple[int, bytes]:
-    """Start a CLI daemon, SIGTERM it once ready() holds; (exit code, stderr)."""
+def _listening(endpoint: str) -> bool:
+    host, _, port = endpoint.rpartition(":")
+    try:
+        socket.create_connection((host, int(port)), timeout=1).close()
+        return True
+    except OSError:
+        return False
+
+
+def _signal_after(args: list[str], ready, signum=signal.SIGTERM,
+                  **popen) -> tuple[int, bytes]:
+    """Start a CLI daemon, send it signum once ready() holds; (exit code, stderr)."""
     proc = subprocess.Popen([sys.executable, "-m", "fabmon.surface.cli", *args],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, **popen)
     try:
         deadline = time.monotonic() + 30
         while not ready():
             assert proc.poll() is None and time.monotonic() < deadline, "never ready"
             time.sleep(0.05)
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)
         _, stderr = proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
@@ -301,15 +314,8 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"endpoints": {
             "directory": f"127.0.0.1:{ports[0]}", "directory_http": f"127.0.0.1:{ports[1]}"}}))
-
-        def listening() -> bool:
-            try:
-                socket.create_connection(("127.0.0.1", ports[0]), timeout=1).close()
-                return True
-            except OSError:
-                return False
-
-        code, stderr = _sigterm_after(["directory", "run", "--config", str(config)], listening)
+        code, stderr = _signal_after(["directory", "run", "--config", str(config)],
+                                     lambda: _listening(f"127.0.0.1:{ports[0]}"))
         assert code == 0, stderr
 
     def test_directory_sigterm_as_soon_as_it_listens(self, tmp_path):
@@ -338,7 +344,7 @@ class TestCli:
                         pass
                 return False
 
-            code, stderr = _sigterm_after([daemon, "run", "--config", str(config)], listening)
+            code, stderr = _signal_after([daemon, "run", "--config", str(config)], listening)
             assert code == 0, (daemon, stderr)
             assert b"Traceback" not in stderr, (daemon, stderr)
 
@@ -352,7 +358,7 @@ class TestCli:
             "importer": {"store": "memory", "listen": endpoint, "subtrees": ["bnl", "uta"],
                          "registration_ttl_s": 120}}))
         try:
-            code, stderr = _sigterm_after(
+            code, stderr = _signal_after(
                 ["importer", "run", "--config", str(config)],
                 lambda: len(directory.registry_dump()) == 2)
             assert code == 0, stderr
@@ -362,34 +368,85 @@ class TestCli:
             wire.stop()
             directory.close()
 
-    def test_lease_keeper_renews_over_one_session(self, monkeypatch):
-        clock = SimClock(EPOCH_MS)
-        directory = DirectoryService(clock, lambda ep: None, name="dir")
-        dials = []
-
-        def dial(endpoint):
-            dials.append(endpoint)
-            return connect_memory(directory.server)
-
-        class ThreeRounds(threading.Event):
-            rounds = 0
-
-            def wait(self, timeout=None):  # one call per renewal round
-                assert len(directory.registry_dump()) == 2
-                self.rounds += 1
-                if self.rounds == 3:
-                    self.set()
-                return self.is_set()
-
-        monkeypatch.setattr(cli, "tcp_dial", dial)
-        stop = ThreeRounds()
-        cli._lease_keeper("dir:1", [P("bnl"), P("uta")], "archive", "arch:1", 120, stop)
-        assert stop.rounds == 3
-        assert dials == ["dir:1"]
-        assert directory.registry_dump() == []  # deregistered on stop
-        assert directory.server.connections() == []  # and the session closed
+    @pytest.mark.parametrize("daemon", ["directory", "importer"])
+    def test_daemon_stops_on_sigint_started_with_it_ignored(self, tmp_path, daemon):
+        # a background job of a non-interactive shell starts with SIGINT ignored
+        ports = _free_ports(3)
+        listen = f"127.0.0.1:{ports[0]}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "endpoints": {"directory": listen if daemon == "directory" else f"127.0.0.1:{ports[1]}",
+                          "directory_http": f"127.0.0.1:{ports[2]}"},
+            "importer": {"store": "memory", "listen": listen}}))
+        code, stderr = _signal_after(
+            [daemon, "run", "--config", str(config)], lambda: _listening(listen),
+            signal.SIGINT, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        assert code == 0, stderr
 
     def test_query_against_unreachable_directory_exits_1(self):
         proc = _cli("query", "latest", "bnl/farm/n1", "cpu.load1",
                     "--directory", "127.0.0.1:9")
         assert proc.returncode == 1
+
+    def test_query_against_an_http_endpoint_exits_1(self, live_directory):
+        _, eps = live_directory
+        for args in (["query", "latest", "bnl/farm/n1", "cpu.load1"], ["registry", "ls"]):
+            proc = _cli(*args, "--directory", eps["directory_http"])
+            assert proc.returncode == 1, proc.stderr
+            assert "undecodable reply to HELLO" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_registry_ls_prints_the_registrations(self, live_directory):
+        config, eps = live_directory
+        for args in (["--directory", eps["directory"]], ["--config", str(config)]):
+            proc = _cli("registry", "ls", *args)
+            assert proc.returncode == 0, proc.stderr
+            rows = [line.split() for line in proc.stdout.splitlines()]
+            assert [row[:3] for row in rows] == [["bnl", "archive", "127.0.0.1:9812"],
+                                                 ["bnl/farm/n1", "agent", "127.0.0.1:9810"]]
+            assert [row[3] for row in rows] == ["ttl=600s", "ttl=60s"]
+
+    def test_registry_same_on_directory_listener_and_serve(self, live_directory):
+        config, eps = live_directory
+        serve = subprocess.Popen([sys.executable, "-m", "fabmon.surface.cli", "serve",
+                                  "--config", str(config)],
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30
+            while not _listening(eps["http"]):
+                assert serve.poll() is None and time.monotonic() < deadline, "serve never listened"
+                time.sleep(0.05)
+            status, body = _get(eps["directory_http"], "/registry")
+            assert status == 200, body
+            assert [e["subtree"] for e in json.loads(body)["registrations"]] == [
+                "bnl", "bnl/farm/n1"]
+            assert _get(eps["http"], "/registry") == (status, body)
+        finally:
+            serve.terminate()
+            serve.wait(timeout=30)
+
+
+@pytest.fixture
+def live_directory(tmp_path):
+    """`fabmon directory run` on free ports with two registrations; (config, endpoints)."""
+    ports = _free_ports(3)
+    eps = {"directory": f"127.0.0.1:{ports[0]}", "directory_http": f"127.0.0.1:{ports[1]}",
+           "http": f"127.0.0.1:{ports[2]}"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"endpoints": eps}))
+    proc = subprocess.Popen([sys.executable, "-m", "fabmon.surface.cli", "directory", "run",
+                             "--config", str(config)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not (_listening(eps["directory"]) and _listening(eps["directory_http"])):
+            assert proc.poll() is None and time.monotonic() < deadline, "directory never listened"
+            time.sleep(0.05)
+        producer = WireClient(tcp_dial(eps["directory"]), role="producer", name="test")
+        producer.register(P("bnl"), "archive", "127.0.0.1:9812", 600)
+        producer.register(P("bnl/farm/n1"), "agent", "127.0.0.1:9810", 60)
+        producer.close()
+        yield config, eps
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)

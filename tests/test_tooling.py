@@ -4,8 +4,9 @@ The benchmark's tracer wraps fabmon's seams by name; renaming one must fail
 here. perfbench/spans.py is only read, never edited: it is imported in a
 child process that writes no bytecode next to it. Every definition in src/
 must have a caller in src/, and every dataclass field a reader there, so no
-API exists only for the tests. The error codes src/ sends are the ones
-docs/protocol.md lists.
+API exists only for the tests. The error codes src/ sends, and the
+control-message kinds with their senders, are the ones docs/protocol.md
+lists.
 """
 
 from __future__ import annotations
@@ -149,3 +150,20 @@ def test_error_codes_sent_are_the_documented_ones():
     doc = (ROOT / "docs" / "protocol.md").read_text(encoding="utf-8")
     listed = doc.split("Error codes in use:", 1)[1].split("\n\n", 1)[0]
     assert sent == set(re.findall(r"`(\w+)`", listed))
+
+
+def test_message_kinds_and_senders_are_the_documented_ones():
+    from fabmon.wire.codec import _SCHEMAS
+    from fabmon.wire.session import CONSUMER_KINDS, PRODUCER_KINDS
+
+    def sender(kind):
+        if kind in PRODUCER_KINDS:
+            return "producer"
+        if kind in CONSUMER_KINDS:
+            return "consumer"
+        return "either" if kind == "HELLO" else "server"  # a peer's REPLY or ERROR is refused
+
+    doc = (ROOT / "docs" / "protocol.md").read_text(encoding="utf-8")
+    table = doc.split("## Control messages", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"^\| ([A-Z_]+) +\| (\w+) +\|", table, re.M))
+    assert documented == {kind: sender(kind) for kind in _SCHEMAS}

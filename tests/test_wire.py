@@ -25,6 +25,7 @@ from fabmon.wire import (
     encode_sample,
 )
 from fabmon.wire.codec import PROVIDER_KINDS, ROLES, _SCHEMAS, decode_wire_line, sample_to_obj
+from fabmon.wire.pool import open_session
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -53,12 +54,23 @@ def edge_samples() -> st.SearchStrategy[MetricSample]:
                      ttl=st.integers(0, 2**63 - 1))
 
 
+def registrations(text=_EDGE_TEXT, ints=_EDGE_INTS) -> st.SearchStrategy[list[dict]]:
+    """QUERY_REGISTRY reply entries, their keys in wire order."""
+    entry = st.builds(
+        lambda subtree, kind, endpoint, ttl, at, until: {
+            "subtree": str(subtree), "kind": kind, "endpoint": endpoint,
+            "ttl": ttl, "registered_at": at, "expires_at": until},
+        paths(), st.sampled_from(PROVIDER_KINDS), text, ints, ints, ints)
+    return st.lists(entry, max_size=3)
+
+
 _EDGE_FIELDS = {
     "path": paths(), "metric": tokens(), "int": _EDGE_INTS, "str": _EDGE_TEXT,
     "bool": st.booleans(), "role": st.sampled_from(ROLES),
     "provider_kind": st.sampled_from(PROVIDER_KINDS),
     "sample_or_null": st.one_of(st.none(), edge_samples()),
     "sample_list": st.lists(edge_samples(), max_size=3),
+    "registration_list": registrations(),
 }
 
 
@@ -77,8 +89,8 @@ def _wire_value(value):
         return str(value)
     if isinstance(value, MetricSample):
         return sample_to_obj(value)
-    if isinstance(value, list):
-        return [sample_to_obj(s) for s in value]
+    if isinstance(value, list):  # samples, or registrations already JSON objects
+        return [sample_to_obj(s) if isinstance(s, MetricSample) else s for s in value]
     return value
 
 
@@ -173,9 +185,36 @@ def messages() -> st.SearchStrategy[Message]:
         st.builds(lambda c, lst: Message("REPLY", c, {"samples": lst}),
                   cid, st.lists(samples(), max_size=4)),
         st.builds(lambda c, e: Message("REPLY", c, {"expires_at": e}), cid, st.integers(0, 2**53)),
+        st.builds(lambda c: Message("QUERY_REGISTRY", c, {}), cid),
+        st.builds(lambda c, regs: Message("REPLY", c, {"registrations": regs}),
+                  cid, registrations(st.text(max_size=24), st.integers(0, 2**53))),
         st.builds(lambda c, code, msg: Message("ERROR", c, {"code": code, "message": msg}),
                   st.one_of(st.none(), cid), tokens(), st.text(max_size=40)),
     )
+
+
+def _registration_reply(old: bytes, new: bytes) -> bytes:
+    """A REPLY listing one valid registration, with old in its bytes replaced by new."""
+    entry = (b'{"subtree":"a","kind":"agent","endpoint":"e:1","ttl":60,'
+             b'"registered_at":1,"expires_at":60001}')
+    return b'{"k":"REPLY","cid":1,"registrations":[' + entry.replace(old, new) + b']}\n'
+
+# a valid body for every kind with a text field, which the lone surrogate cases replace
+_TEXT_BODIES = {
+    "HELLO": {"role": "producer", "name": "x"},
+    "REGISTER": {"subtree": "a", "kind": "agent", "endpoint": "e:1", "ttl": 60},
+    "DEREGISTER": {"subtree": "a", "endpoint": "e:1"},
+    "REPLY": {"source": "cache"},
+    "ERROR": {"code": "x", "message": "y"},
+}
+# every text field of every kind: a lone surrogate in it must not decode
+LONE_SURROGATE_LINES = {
+    f"{kind}.{name}": (json.dumps({"k": kind, "cid": 1, **_TEXT_BODIES[kind],
+                                   name: "\ud800"}) + "\n").encode()
+    for kind, schema in _SCHEMAS.items() for name, tag, _ in schema if tag == "str"
+}
+LONE_SURROGATE_LINES["REPLY.registrations.endpoint"] = _registration_reply(b'"e:1"', b'"e\\udfff"')
+LONE_SURROGATE_LINES["sample.v"] = b'{"t":1,"p":"a","m":"m","v":"up \\ud800","ttl":1}\n'
 
 
 class TestMessageCodec:
@@ -243,10 +282,29 @@ class TestMessageCodec:
         b'{"k":"REPLY","cid":1,"samples":[7]}\n',
         b'{"k":"REPLY","cid":1,"samples":{}}\n',
         b'{"k":"REPLY","cid":1,"stale":1}\n',
+        b'{"k":"REPLY","cid":1,"registrations":{}}\n',
+        b'{"k":"REPLY","cid":1,"registrations":[7]}\n',
+        b'{"k":"REPLY","cid":1,"registrations":[{"subtree":"a"}]}\n',
+        _registration_reply(b'"a"', b'"a//b"'),
+        _registration_reply(b'"agent"', b'"oracle"'),
+        _registration_reply(b'"e:1"', b'1'),
+        _registration_reply(b'"ttl":60', b'"ttl":true'),
+        _registration_reply(b'}', b',"x":1}'),
+        b'{"k":"QUERY_REGISTRY","cid":1,"subtree":"a"}\n',
     ])
     def test_field_rejections(self, line):
         with pytest.raises(SchemaViolation):
             decode_wire_line(line)
+
+    @pytest.mark.parametrize("field", sorted(LONE_SURROGATE_LINES))
+    def test_text_utf8_cannot_encode_is_rejected(self, field):
+        # JSON's \ud800 escape decodes to a lone surrogate, which no reply could carry
+        with pytest.raises(SchemaViolation):
+            decode_wire_line(LONE_SURROGATE_LINES[field])
+
+    def test_paired_surrogate_escapes_decode(self):
+        line = b'{"t":1,"p":"a","m":"m","v":"\\ud83d\\ude00","ttl":1}\n'
+        assert decode_wire_line(line).value == "\U0001f600"
 
     def test_encode_takes_domain_values_only(self):
         with pytest.raises(TypeError):
@@ -290,6 +348,13 @@ GOLDEN_MESSAGES = [
     Message("REPLY", 8, {"samples": _G_SAMPLES}),
     Message("REPLY", 9, {"expires_at": 1600000120000}),
     Message("ERROR", None, {"code": "malformed_record", "message": "bad record line: ü"}),
+    Message("QUERY_REGISTRY", 10, {}),
+    Message("REPLY", 10, {"registrations": [
+        {"subtree": "bnl", "kind": "archive", "endpoint": "127.0.0.1:9812", "ttl": 120,
+         "registered_at": 1600000000000, "expires_at": 1600000120000},
+        {"subtree": "bnl/farm/n1", "kind": "agent", "endpoint": "n1.bnl:9810", "ttl": 60,
+         "registered_at": 1600000030000, "expires_at": 1600000090000},
+    ]}),
 ]
 
 
@@ -416,6 +481,28 @@ class TestSession:
         client = WireClient(Scripted(), role="consumer", name="c")
         with pytest.raises(ProtocolViolation):
             client.query_latest(ResourcePath.parse("a"), "m")
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.0 400 Bad request version\r\n",  # the endpoint speaks HTTP
+        b'{"k":"HELLO","cid":1,"name":5}\n',
+    ])
+    def test_undecodable_reply_is_violation_and_the_channel_closed(self, reply):
+        class Peer:
+            closed = False
+
+            def send(self, line):
+                pass
+
+            def recv(self, timeout=None):
+                return reply
+
+            def close(self):
+                self.closed = True
+
+        peer = Peer()
+        with pytest.raises(ProtocolViolation, match="^undecodable reply to HELLO: "):
+            open_session(lambda endpoint: peer, "web:80", "consumer", "c")
+        assert peer.closed
 
     def test_unsupported_request_gets_error(self):
         server, _ = _mem_pair()
