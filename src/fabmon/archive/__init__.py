@@ -2,7 +2,6 @@ from fabmon.archive.store import (  # noqa: F401
     AppendResult,
     InvalidRange,
     MemoryStore,
-    TelemetryStore,
 )
 from fabmon.archive.filestore import FileSegmentStore  # noqa: F401
 from fabmon.archive.importer import Importer  # noqa: F401

@@ -10,18 +10,18 @@ wire, so the archive can be grepped, shipped or replayed with nothing but a
 text tool. Samples the retention sweep derives are kept apart in
 <YYYYMMDD>.dseg files in the same directory.
 
-Appends go through an in-memory mirror (for dedup, latest and range answers).
-Each accepted sample is one open, one O_APPEND write of its line and one
-close, so no segment file stays open between appends (`ulimit -n` need not
-grow with the series count) and a crash costs at most the trailing partial
-line, which reopening discards.
+The store is a MemoryStore that writes through: its columns answer dedup,
+latest and range, and each sample they accept is one open, one O_APPEND
+write of its line and one close, so no segment file stays open between
+appends (`ulimit -n` need not grow with the series count) and a crash costs
+at most the trailing partial line, which reopening discards.
 
-The mirror is a MemoryStore holding every archived sample as columns: per
-series, one array of timestamps, one list of values, one array of ttls, the
-path and metric once, and the derived timestamps once there are any. Samples
-are built when read. A reopened archive costs about 67 bytes of RAM per
-sample (tracemalloc, 5500 series, 173,220 samples), where one slotted
-MetricSample per sample cost 165.
+The columns hold every archived sample: per series, one array of
+timestamps, one list of values, one array of ttls, the path and metric
+once, and the derived timestamps once there are any. Samples are built when
+read. A reopened archive costs about 67 bytes of RAM per sample
+(tracemalloc, 5500 series, 173,220 samples), where one slotted MetricSample
+per sample cost 165.
 
 Retention rewrites (or unlinks) only the day files that held a removed
 sample; the others keep their inode and mtime.
@@ -38,7 +38,7 @@ from typing import Iterable
 
 from fabmon.core import MetricSample, ResourcePath
 from fabmon.wire.codec import MalformedRecord, SchemaViolation, decode_sample, encode_sample
-from fabmon.archive.store import AppendResult, Key, MemoryStore, TelemetryStore, sample_key
+from fabmon.archive.store import AppendResult, Key, MemoryStore, sample_key
 
 log = logging.getLogger(__name__)
 
@@ -55,11 +55,11 @@ def _series_dir(root: Path, key: Key) -> str:
     return os.path.join(root, path_text.replace("/", "~"), metric)
 
 
-class FileSegmentStore(TelemetryStore):
+class FileSegmentStore(MemoryStore):
     def __init__(self, root: str | Path):
+        super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._mirror = MemoryStore()
         # series key -> (UTC day number, "<series dir>/<YYYYMMDD>") of its last write
         self._stems: dict[Key, tuple[int, str]] = {}
         self._load()
@@ -93,9 +93,9 @@ class FileSegmentStore(TelemetryStore):
                     continue
                 raise MalformedRecord(f"{seg}: corrupt record at line {i + 1}: {exc}") from exc
             if derived:
-                self._mirror.append_derived(sample)
+                super().append_derived(sample)
             else:
-                self._mirror.append(sample)
+                super().append(sample)
 
     # -- file plumbing -----------------------------------------------------
 
@@ -125,56 +125,43 @@ class FileSegmentStore(TelemetryStore):
                 fh.truncate(fh.tell() - written)  # or the next line glues onto the partial one
                 raise OSError(f"short write to {name}: {written} of {len(line)} bytes")
 
-    # -- TelemetryStore ----------------------------------------------------
+    # -- MemoryStore, written through -------------------------------------
 
-    def _append(self, sample: MetricSample, derived: bool) -> AppendResult:
-        result = (self._mirror.append_derived if derived else self._mirror.append)(sample)
+    def _through(self, result: AppendResult, sample: MetricSample, derived: bool) -> AppendResult:
         if result is AppendResult.OK:
             try:
                 self._write(sample, derived)
             except BaseException:
-                # not on disk, so not in the mirror: a retry must be written, not a duplicate
-                self._mirror.remove(sample.path, sample.metric, (sample.timestamp,))
+                # not on disk, so not in the columns: a retry must be written, not a duplicate
+                super().remove(sample.path, sample.metric, (sample.timestamp,))
                 raise
         return result
 
     def append(self, sample: MetricSample) -> AppendResult:
-        return self._append(sample, derived=False)
+        return self._through(super().append(sample), sample, derived=False)
 
     def append_derived(self, sample: MetricSample) -> AppendResult:
-        return self._append(sample, derived=True)
-
-    def latest(self, path, metric):
-        return self._mirror.latest(path, metric)
-
-    def range(self, path, metric, t0, t1):
-        return self._mirror.range(path, metric, t0, t1)
-
-    def keys(self):
-        return self._mirror.keys()
-
-    def is_derived(self, path, metric, timestamp):
-        return self._mirror.is_derived(path, metric, timestamp)
+        return self._through(super().append_derived(sample), sample, derived=True)
 
     def remove(self, path: ResourcePath, metric: str, timestamps: Iterable[int]) -> int:
         doomed = set(timestamps)
         # the day files, as (day, derived), that hold a doomed sample
-        touched = {(ts // _DAY_MS, self._mirror.is_derived(path, metric, ts))
-                   for ts in doomed if self._mirror.range(path, metric, ts, ts + 1)}
-        removed = self._mirror.remove(path, metric, doomed)
+        touched = {(ts // _DAY_MS, self.is_derived(path, metric, ts))
+                   for ts in doomed if self.range(path, metric, ts, ts + 1)}
+        removed = super().remove(path, metric, doomed)
         if removed:
             self._rewrite_days(path, metric, touched)
         return removed
 
     def _rewrite_days(self, path: ResourcePath, metric: str, days: set[tuple[int, bool]]) -> None:
-        """Regenerate the touched day files from the mirror; leave the others be."""
+        """Regenerate the touched day files from the columns; leave the others be."""
         series_dir = _series_dir(self.root, (str(path), metric))
         if not os.path.isdir(series_dir):
             return
         for day, derived in days:
             start = day * _DAY_MS
-            keep = [s for s in self._mirror.range(path, metric, start, start + _DAY_MS)
-                    if self._mirror.is_derived(path, metric, s.timestamp) == derived]
+            keep = [s for s in self.range(path, metric, start, start + _DAY_MS)
+                    if self.is_derived(path, metric, s.timestamp) == derived]
             seg = os.path.join(series_dir, day_bucket(start)) + _SUFFIXES[derived]
             if not keep:
                 with contextlib.suppress(FileNotFoundError):

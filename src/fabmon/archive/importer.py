@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 
 from fabmon.core import Clock, MetricSample, ResourcePath
-from fabmon.archive.store import AppendResult, InvalidRange, TelemetryStore, check_range
+from fabmon.archive.store import AppendResult, InvalidRange, MemoryStore, check_range
 from fabmon.wire.session import LatestResult, RequestError, WireHandler, WireServer
 
 log = logging.getLogger(__name__)
@@ -26,7 +26,7 @@ class ImporterCounters:
 
 
 class Importer(WireHandler):
-    def __init__(self, store: TelemetryStore, clock: Clock, name: str = "importer"):
+    def __init__(self, store: MemoryStore, clock: Clock, name: str = "importer"):
         self.store = store
         self.clock = clock
         self.counters = ImporterCounters()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from fabmon.core import MetricSample, ResourcePath
-from fabmon.archive.store import TelemetryStore
+from fabmon.archive.store import MemoryStore
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class SweepResult:
     compacted: int = 0  # derived samples created
 
 
-def retention_sweep(store: TelemetryStore, policy: RetentionPolicy, now: int) -> SweepResult:
+def retention_sweep(store: MemoryStore, policy: RetentionPolicy, now: int) -> SweepResult:
     result = SweepResult()
     cutoff = now - policy.max_age_s * 1000
     if cutoff <= 1:

@@ -1,4 +1,4 @@
-"""Telemetry store interface and the in-memory backend.
+"""In-memory telemetry store; the file store is one that also writes through.
 
 Append is idempotent on the (path, metric, timestamp) key: re-appending an
 identical sample is a no-op, a different value for an existing key is a
@@ -13,7 +13,7 @@ import threading
 from array import array
 from enum import Enum
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Optional
 
 from fabmon.core import MetricSample, ResourcePath
 
@@ -33,35 +33,6 @@ Key = tuple[str, str]  # (path text, metric)
 
 def sample_key(sample: MetricSample) -> Key:
     return (str(sample.path), sample.metric)
-
-
-class TelemetryStore:
-    """Abstract append/query surface; memory and file backends implement it."""
-
-    def append(self, sample: MetricSample) -> AppendResult:
-        raise NotImplementedError
-
-    def latest(self, path: ResourcePath, metric: str) -> Optional[MetricSample]:
-        raise NotImplementedError
-
-    def range(self, path: ResourcePath, metric: str, t0: int, t1: int) -> list[MetricSample]:
-        raise NotImplementedError
-
-    def keys(self) -> list[Key]:
-        raise NotImplementedError
-
-    def is_derived(self, path: ResourcePath, metric: str, timestamp: int) -> bool:
-        raise NotImplementedError
-
-    # retention support
-    def append_derived(self, sample: MetricSample) -> AppendResult:
-        raise NotImplementedError
-
-    def remove(self, path: ResourcePath, metric: str, timestamps: Iterable[int]) -> int:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
 
 
 def check_range(t0: int, t1: int) -> None:
@@ -110,7 +81,7 @@ def _column_sample(path, metric, timestamp, value, ttl) -> MetricSample:
     return sample
 
 
-class MemoryStore(TelemetryStore):
+class MemoryStore:
     def __init__(self):
         self._series: dict[Key, _Series] = {}
         self._lock = threading.RLock()
@@ -192,3 +163,6 @@ class MemoryStore(TelemetryStore):
                 if series.derived:
                     series.derived -= doomed
             return removed
+
+    def close(self) -> None:
+        pass

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Callable, TypeVar
 
 from fabmon.core import Clock, MetricSample, ResourcePath
 from fabmon.directory.registry import InvalidTTL, Registry
@@ -68,8 +68,8 @@ class DirectoryService(WireHandler):
         self.freshness_ttls = dict(freshness_ttls or {})
         self._cache: dict[tuple[str, str], CacheCell] = {}
         self._cache_lock = threading.Lock()
-        self._inflight: dict[tuple[str, str], threading.Event] = {}
-        self._local = threading.local()  # keys this thread is already fetching
+        # (key, hops) -> set once the caller that put it here has fetched
+        self._inflight: dict[tuple[tuple[str, str], int], threading.Event] = {}
         self.pool = SessionPool(dial, "consumer", name, timeout=UPSTREAM_TIMEOUT_S)
 
     # -- cache -------------------------------------------------------------
@@ -77,14 +77,6 @@ class DirectoryService(WireHandler):
     def _freshness_for(self, sample: MetricSample) -> int:
         ttl = self.freshness_ttls.get(sample.metric, sample.ttl)
         return max(1, min(ttl, FRESHNESS_CAP_S))
-
-    def _cache_get(self, key: tuple[str, str], now: int) -> tuple[Optional[CacheCell], bool]:
-        """(cell, fresh) - the cell may be stale but usable as a fallback."""
-        with self._cache_lock:
-            cell = self._cache.get(key)
-        if cell is None:
-            return None, False
-        return cell, cell.fresh(now)
 
     def _cache_put(self, key: tuple[str, str], sample: MetricSample, now: int) -> None:
         cell = CacheCell(sample, now, self._freshness_for(sample))
@@ -112,42 +104,35 @@ class DirectoryService(WireHandler):
 
     # -- queries -------------------------------------------------------------
 
-    def _keys_in_flight_here(self) -> set:
-        keys = getattr(self._local, "keys", None)
-        if keys is None:
-            keys = self._local.keys = set()
-        return keys
-
     def query_latest(self, path: ResourcePath, metric: str, hops: int = 0) -> LatestResult:
-        """Latest value for (path, metric): cache, then provider, then stale."""
+        """Latest value for (path, metric): cache, then provider, then stale.
+
+        Concurrent misses on one key at one hop count share one upstream
+        fetch: the first claims it, the others wait for it and read the
+        cache. A federation cycle comes back with more hops, so it never
+        waits on its own fetch, whatever thread or transport carries it.
+        """
         if hops > MAX_HOPS:
             raise RequestError("hop_limit", f"query for {path}/{metric} exceeded {MAX_HOPS} hops")
         now = self.clock.now()
         key = (str(path), metric)
-        cell, fresh = self._cache_get(key, now)
-        if fresh:
-            return LatestResult(cell.sample, stale=False, source="cache")
-
-        # coalesce concurrent upstream fetches for one key, but never block on
-        # our own fetch (federation cycles re-enter on the same thread)
-        local = self._keys_in_flight_here()
-        coalesce = key not in local
-        if coalesce:
+        with self._cache_lock:
+            cell = self._cache.get(key)
+            if cell is not None and cell.fresh(now):
+                return LatestResult(cell.sample, stale=False, source="cache")
+            flight = (key, hops)
+            event = self._inflight.get(flight)
+            owner = event is None
+            if owner:
+                event = self._inflight[flight] = threading.Event()
+        if not owner:
+            # if the fetch in flight leaves nothing fresh, fetch alone, unclaimed
+            event.wait(timeout=30)
+            now = self.clock.now()
             with self._cache_lock:
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    self._inflight[key] = threading.Event()
-            if waiter is not None:
-                waiter.wait(timeout=30)
-                now = self.clock.now()
-                cell, fresh = self._cache_get(key, now)
-                if fresh:
-                    return LatestResult(cell.sample, stale=False, source="cache")
-                with self._cache_lock:
-                    if key not in self._inflight:
-                        self._inflight[key] = threading.Event()
-
-        local.add(key)
+                cell = self._cache.get(key)
+            if cell is not None and cell.fresh(now):
+                return LatestResult(cell.sample, stale=False, source="cache")
         try:
             entry = self.registry.resolve(path, ("agent", "archive", "directory"), now)
             if entry is None:
@@ -168,12 +153,10 @@ class DirectoryService(WireHandler):
                 return LatestResult(None)
             return LatestResult(result.sample, stale=result.stale, source="upstream")
         finally:
-            local.discard(key)
-            if coalesce:
+            if owner:  # only the claimant removes its claim
                 with self._cache_lock:
-                    event = self._inflight.pop(key, None)
-                if event is not None:
-                    event.set()
+                    del self._inflight[flight]
+                event.set()
 
     def query_history(self, path: ResourcePath, metric: str, t0: int, t1: int,
                       hops: int = 0) -> list[MetricSample]:

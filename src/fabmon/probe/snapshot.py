@@ -85,9 +85,6 @@ class Snapshot:
             ],
         }
 
-    def host_statuses(self) -> dict[str, Status]:
-        return {str(h.host): h.combined for sr in self.sites for h in sr.hosts}
-
 
 def transcript_ref(host_text: str, cycle: int) -> str:
     return f"transcripts/{host_text}/{cycle}.txt"

@@ -50,10 +50,10 @@ class SessionPool:
         """Run fn on an idle session to endpoint, or on a new one.
 
         Sessions are checked out, never shared: WireClient serializes its
-        requests, and a federation cycle re-enters a directory's pool on the
-        same thread. So an endpoint never has more sessions than it once had
-        calls in flight. A session is returned after any reply, ERROR
-        included (the RequestError still propagates). One that fails is
+        requests, and a federation cycle re-enters a directory's pool before
+        its first call returns. So an endpoint never has more sessions than
+        it once had calls in flight. A session is returned after any reply,
+        ERROR included (the RequestError still propagates). One that fails is
         closed, since a late reply would put its correlation ids out of
         step, and so are the endpoint's idle ones. Only when a reused
         session ended (EOF, reset, failed send) has the peer likely

@@ -150,17 +150,14 @@ class WireServer:
             # an object with a "k" is a broken control message; everything
             # else counts as a rejected data line
             if exc.control:
-                conn.push(codec.encode_message(
-                    Message("ERROR", None, {"code": "schema_violation", "message": str(exc)})))
+                self._send_error(conn, "schema_violation", str(exc))
             else:
                 self.handler.on_bad_line(line, exc)
-                conn.push(codec.encode_message(
-                    Message("ERROR", None, {"code": "malformed_record", "message": str(exc)})))
+                self._send_error(conn, "malformed_record", str(exc))
             return
         except MalformedRecord as exc:
             self.handler.on_bad_line(line, exc)
-            conn.push(codec.encode_message(
-                Message("ERROR", None, {"code": "malformed_record", "message": str(exc)})))
+            self._send_error(conn, "malformed_record", str(exc))
             return
 
         if isinstance(decoded, MetricSample):
@@ -168,9 +165,13 @@ class WireServer:
         else:
             self._handle_message(conn, decoded)
 
+    @staticmethod
+    def _send_error(conn: Connection, code: str, message: str) -> None:
+        """ERROR for a line, not a request, so it carries no cid."""
+        conn.push(codec.encode_message(Message("ERROR", None, {"code": code, "message": message})))
+
     def _violation(self, conn: Connection, detail: str) -> None:
-        conn.push(codec.encode_message(
-            Message("ERROR", None, {"code": "protocol_violation", "message": detail})))
+        self._send_error(conn, "protocol_violation", detail)
         conn.closed = True
 
     def _handle_sample(self, conn: Connection, sample: MetricSample) -> None:
@@ -180,12 +181,10 @@ class WireServer:
         try:
             self.handler.on_sample(sample)
         except RequestError as exc:
-            conn.push(codec.encode_message(
-                Message("ERROR", None, {"code": exc.code, "message": exc.message})))
+            self._send_error(conn, exc.code, exc.message)
         except Exception:
             log.exception("sample handler failed")
-            conn.push(codec.encode_message(
-                Message("ERROR", None, {"code": "internal", "message": "sample handler failed"})))
+            self._send_error(conn, "internal", "sample handler failed")
 
     def _handle_message(self, conn: Connection, msg: Message) -> None:
         if msg.kind == "HELLO":

@@ -14,8 +14,8 @@ from fabmon.archive import Importer, MemoryStore
 import fabmon.directory.service as service_mod
 from fabmon.directory import DirectoryService, InvalidTTL, Registry
 from fabmon.wire import (
-    LatestResult, MemoryChannel, RequestError, WireClient, WireServer, connect_memory,
-    decode_wire_line, tcp_dial)
+    LatestResult, MemoryChannel, RequestError, TcpWireServer, WireClient, WireServer,
+    connect_memory, decode_wire_line, tcp_dial)
 from fabmon.wire.pool import Lease
 from fabmon.wire.session import WireHandler
 
@@ -237,7 +237,7 @@ class TestQueryLatest:
         grace_ms = service_mod.FRESHNESS_CAP_S * 1000
         clock.sleep_until(clock.now() + 30_000 + grace_ms - 1)
         service.sweep()
-        assert service._cache_get(("bnl/farm/n1", "cpu.load1"), clock.now())[0] is not None
+        assert ("bnl/farm/n1", "cpu.load1") in service._cache
         clock.sleep_until(clock.now() + 1)
         service.sweep()
         assert service._cache == {}
@@ -295,6 +295,83 @@ class TestQueryLatest:
             t.join(5)
         assert len(results) == 4 and all(r.sample is not None for r in results)
         assert sum(calls) == 1  # one upstream request served all four
+
+    def test_failed_fetch_leaves_no_claim_behind(self, clock):
+        # the first caller's fetch fails; each waiter then fetches alone and
+        # fails too, and no claim outlives its caller to block the next burst
+        net, service = _stack(clock)
+        gate = threading.Event()
+
+        class SlowAgent(WireHandler):
+            def on_query_latest(self, path, metric, hops):
+                gate.wait(5)
+                return LatestResult(make_sample(ts=clock.now()), source="agent")
+
+        agent = SlowAgent()
+        calls = _count_calls(agent, "on_query_latest")
+        net.add("agent:1", WireServer(agent, clock))
+        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
+        net.silent.add("agent:1")  # powered off: a dial waits, then times out
+        net.connect_wait_s = 0.2
+
+        def burst():
+            outcomes = []
+
+            def query():
+                try:
+                    outcomes.append(service.query_latest(P("bnl/farm/n1"), "cpu.load1"))
+                except RequestError as exc:
+                    outcomes.append(exc.code)
+
+            threads = [threading.Thread(target=query) for _ in range(4)]
+            for t in threads:
+                t.start()
+            return threads, outcomes
+
+        threads, outcomes = burst()
+        for t in threads:
+            t.join(10)
+        assert outcomes == ["upstream_unreachable"] * 4
+        assert service._inflight == {}
+
+        net.silent.discard("agent:1")
+        threads, outcomes = burst()
+        time.sleep(0.2)
+        gate.set()
+        for t in threads:
+            t.join(5)
+        assert len(outcomes) == 4 and all(r.sample is not None for r in outcomes)
+        assert len(calls) == 1  # one upstream request served all four
+        assert service._inflight == {}
+
+    def test_claims_hold_under_thread_churn(self, clock):
+        # answers that never fill the cache: every call claims, waits or
+        # fetches alone, at two hop counts, and no claim is lost or left behind
+        net, service = _stack(clock)
+        net.add("agent:1", WireServer(_AgentStub(P("bnl/farm/n1")), clock))
+        service.registry.register(P("bnl/farm/n1"), "agent", "agent:1", 600, clock.now())
+        outcomes = []
+
+        def worker():
+            for n in range(40):
+                try:
+                    outcomes.append(service.query_latest(P("bnl/farm/n1"), "cpu.load1", n % 2))
+                except Exception as exc:
+                    outcomes.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 320 and all(r == LatestResult(None) for r in outcomes)
+        assert service._inflight == {}
 
 
 class TestUpstreamSessions:
@@ -520,6 +597,29 @@ class TestFederation:
             dials.append(dict(net.dial_counts))
         assert outcomes == ["hop_limit", "hop_limit"]
         assert dials[0] == dials[1]  # the second pass ran on sessions the first left idle
+
+    def test_cycle_over_tcp_hits_hop_limit(self, clock):
+        # each hop arrives on its own handler thread: the cycle must still end
+        # in hop_limit, not wait on the fetch the first hop started
+        a = DirectoryService(clock, tcp_dial, name="a")
+        b = DirectoryService(clock, tcp_dial, name="b")
+        servers = [TcpWireServer(d.server).start() for d in (a, b)]
+        a.registry.register(P("bnl"), "directory", servers[1].endpoint, 600, clock.now())
+        b.registry.register(P("bnl"), "directory", servers[0].endpoint, 600, clock.now())
+        consumer = WireClient(tcp_dial(servers[0].endpoint), role="consumer", name="c",
+                              timeout=30)
+        try:
+            with pytest.raises(RequestError) as latest:
+                consumer.query_latest(P("bnl/farm/n1"), "cpu.load1")
+            with pytest.raises(RequestError) as history:
+                consumer.query_range(P("bnl/farm/n1"), "cpu.load1", 1, 2)
+            assert (latest.value.code, history.value.code) == ("hop_limit", "hop_limit")
+        finally:
+            consumer.close()
+            for server in servers:
+                server.stop()
+            for directory in (a, b):
+                directory.close()
 
     @staticmethod
     def _ask(net, endpoint, request: bytes) -> bytes:

@@ -72,36 +72,45 @@ def _src_trees():
 
 def test_every_src_definition_has_a_src_caller():
     # a definition counts as used when src/ names it outside its own body:
-    # as a name, an attribute, an import or a dispatch string
-    defs, refs = [], []
+    # as a name, an attribute, an import or a dispatch string. A bare name
+    # can be a local that shadows a method, so a method (a def directly in
+    # a class body) counts a bare name only in its own class body, as in
+    # on_query_registry = registry_dump
+    defs, refs, class_names = [], [], set()
     for path, tree in _src_trees():
 
         def visit(node, prefix):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    method = isinstance(node, ast.ClassDef) and not isinstance(child, ast.ClassDef)
                     defs.append((path, prefix + child.name, child.name,
-                                 child.lineno, child.end_lineno))
+                                 child.lineno, child.end_lineno, method))
                     visit(child, prefix + child.name + ".")
                 else:
                     visit(child, prefix)
+                    if isinstance(node, ast.ClassDef):
+                        class_names.update((path, prefix + n.id) for n in ast.walk(child)
+                                           if isinstance(n, ast.Name))
 
         visit(tree, "")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((path, node.lineno, node.id))
+                refs.append((path, node.lineno, node.id, True))
             elif isinstance(node, ast.Attribute):
-                refs.append((path, node.lineno, node.attr))
+                refs.append((path, node.lineno, node.attr, False))
             elif isinstance(node, ast.alias):
-                refs.append((path, node.lineno, (node.asname or node.name).split(".")[-1]))
+                refs.append((path, node.lineno, (node.asname or node.name).split(".")[-1], False))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.append((path, node.lineno, node.value))
+                refs.append((path, node.lineno, node.value, False))
     unused = [
         f"{path.relative_to(ROOT)}: {qualname}"
-        for path, qualname, name, first, last in defs
+        for path, qualname, name, first, last, method in defs
         if not (name.startswith("__") and name.endswith("__"))  # called by the runtime
         and qualname not in _UNREFERENCED_OK
-        and not any(n == name and not (p == path and first <= line <= last)
-                    for p, line, n in refs)
+        and not (method and (path, qualname) in class_names)
+        and not any(n == name and not (method and bare)
+                    and not (p == path and first <= line <= last)
+                    for p, line, n, bare in refs)
     ]
     assert unused == []
 
@@ -135,7 +144,8 @@ def test_every_src_dataclass_field_is_read_in_src():
 
 
 def test_error_codes_sent_are_the_documented_ones():
-    # a code is sent as RequestError's first argument or as a {"code": ...} body
+    # a code is sent as RequestError's first argument, as the code argument
+    # of WireServer._send_error(conn, code, message) or as a {"code": ...} body
     sent = set()
     for _, tree in _src_trees():
         for node in ast.walk(tree):
@@ -143,6 +153,10 @@ def test_error_codes_sent_are_the_documented_ones():
                     and node.func.id == "RequestError" and node.args
                     and isinstance(node.args[0], ast.Constant)):
                 sent.add(node.args[0].value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_send_error" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                sent.add(node.args[1].value)
             elif isinstance(node, ast.Dict):
                 sent.update(v.value for k, v in zip(node.keys, node.values)
                             if isinstance(k, ast.Constant) and k.value == "code"
